@@ -444,14 +444,19 @@ namespace
  * accumulation order is fixed (tensor/gemm.hh), keeping batched
  * results bit-identical to single-sample runs.
  *
- * Re-tuned from 256 when the kernels went vector: a narrow GEMM
- * cannot fill SIMD lanes, so coalescing pays up to wider layers than
- * it did with scalar kernels (LeNet's 24x24 conv outputs now coalesce
- * and its batched speedup rose ~12%; conv stacks with >= 32x32
- * outputs are weight-amortized already and memory-bound, where
- * coalescing measurably hurts).
+ * Tuned against the x86 micro-kernel over packed B panels, whose
+ * strips are 32 columns wide: below 64 columns a per-sample GEMM runs
+ * narrow tail strips (n = 16 reaches 55-75 GFLOP/s, the coalesced
+ * n = 128 about 120), while from 64 columns up the strips are full
+ * and coalescing only adds the wide im2col pack (out of cache at
+ * n = 2048, ~80 GFLOP/s against ~120 at n = 256) and the staging
+ * copy.  Batch-8 per-sample time against single-sample `run`, 4-vCPU
+ * AVX-512 Xeon: VGG17 7.9 ms -> 6.2 ms (single 6.5 ms), LeNet
+ * 0.129 ms -> 0.114 ms (single 0.156 ms), from the previous cutoff of
+ * 1024, which was tuned for the earlier 4x8 tile.  The int8 path,
+ * which shares the cutoff, measured the same at both.
  */
-constexpr std::int64_t kCoalesceColumns = 1024;
+constexpr std::int64_t kCoalesceColumns = 64;
 
 } // namespace
 

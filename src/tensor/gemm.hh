@@ -33,8 +33,11 @@ namespace fpsa
  * C[m x n] = A[m x k] * B[k x n], all row-major with the given leading
  * strides (elements between consecutive rows).  C is overwritten.
  *
- * Cache-blocked over k and n with a 4-row register tile; accumulation
- * per element is strictly k-ascending (see file comment).
+ * Cache-blocked over k and n.  The x86 vector table packs B into
+ * stack panels and runs a 6-row register-blocked micro-kernel (6x32
+ * with AVX-512F, else 6x16); the scalar and NEON tables stream a
+ * 4-row tile.  Accumulation per element is strictly k-ascending (see
+ * file comment).
  */
 void gemmRowMajor(const float *a, std::int64_t lda, const float *b,
                   std::int64_t ldb, float *c, std::int64_t ldc,

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "tensor/kernels_x86.hh"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define FPSA_KERNELS_X86 1
@@ -23,12 +24,11 @@ namespace
 {
 
 /**
- * Block sizes shared by every variant: one k-panel of B (kKc rows x
- * kNc columns) plus the four C rows the register tile holds stay
- * resident in L2 while the inner loops stream over them.  The vector
- * variants MUST keep these constants: the k-blocking is part of each
- * column's accumulation order, and the plan's batched==single
- * bit-identity only needs the order fixed per table.
+ * Block sizes of the 4-row tiles (scalar and int8 bodies, NEON): one
+ * k-panel of B (kKc rows x kNc columns) plus the four C rows the tile
+ * holds stay resident in L2 while the inner loops stream over them.
+ * k blocks run in order and partial sums pass through C exactly, so
+ * the blocking never reorders a column's accumulation.
  */
 constexpr std::int64_t kKc = 128;
 constexpr std::int64_t kNc = 512;
@@ -247,100 +247,232 @@ gemmInt8Scalar(const std::int8_t *a, std::int64_t lda,
 #if FPSA_KERNELS_X86
 
 /**
- * 4-row fp32 tile, 8-lane FMA: every column -- vector lanes and the
- * scalar tail alike -- accumulates with a *fused* multiply-add in
- * k-ascending order, so a column's value is independent of where the
- * tiling puts it (the table-level determinism contract).
+ * fp32 GEMM of the x86 vector table: a register-blocked micro-kernel
+ * over packed B panels, Goto/BLIS style.
+ *
+ * The outer loop walks strips of B as wide as the micro-kernel (32
+ * columns with AVX-512F, else 16).  For each block of up to kPanelK
+ * rows of k, the strip's slice of B is copied into a panel on the
+ * stack -- tail columns zero-filled by masked loads -- and every block
+ * of up to 6 rows of A sweeps it.  The micro-kernel holds a 6-row tile
+ * of C in 12 vector registers across the whole k block and broadcasts
+ * A straight from its rows: a prototype that packed A as well was
+ * slower on every VGG17 shape, worst at n = 16.  Row tails run the
+ * same micro-kernel instantiated for fewer rows and column tails run
+ * it under masks (a last strip of at most 16 columns on the 16-wide
+ * kernel), so LeNet's 20/50-channel convs and FC layers with
+ * m = batch stay vector code.
+ * A call with a single row block (m <= 6) reads full strips of B in
+ * place: it touches each B element once, so a copy would only add
+ * traffic.  The panel is at most kPanelK x 32 floats (32 KB): no
+ * heap, no thread-local state.
+ *
+ * Numerics: every C element is one fused multiply-add chain that
+ * starts at +0 and runs in k-ascending order; between k blocks the
+ * partial sum passes through C in memory, which is exact.  The chain
+ * does not depend on the tile, the tail or the call's width, so
+ * batched == single stays bit-identical; it is also exactly what this
+ * table's earlier 4 x 8 axpy tile computed, so the table's outputs
+ * did not change bits when the micro-kernel replaced it.
  */
-__attribute__((target("avx2,fma"))) void
-tile4Avx2(const float *a0, const float *a1, const float *a2,
-          const float *a3, const float *b, std::int64_t ldb, float *c0,
-          float *c1, float *c2, float *c3, std::int64_t kb,
-          std::int64_t nb)
+constexpr std::int64_t kPanelK = 256;
+constexpr std::int64_t kPanelMaxWidth = 32;
+constexpr int kTileRows = 6;
+
+/** AVX-512 mask of the first `count` lanes (clamped to 0..16). */
+inline __mmask16
+laneMask16(std::int64_t count)
 {
-    std::int64_t j = 0;
-    for (; j + 8 <= nb; j += 8) {
-        __m256 s0 = _mm256_loadu_ps(c0 + j);
-        __m256 s1 = _mm256_loadu_ps(c1 + j);
-        __m256 s2 = _mm256_loadu_ps(c2 + j);
-        __m256 s3 = _mm256_loadu_ps(c3 + j);
-        const float *bp = b + j;
-        for (std::int64_t p = 0; p < kb; ++p) {
-            const __m256 bv = _mm256_loadu_ps(bp + p * ldb);
-            s0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[p]), bv, s0);
-            s1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[p]), bv, s1);
-            s2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[p]), bv, s2);
-            s3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[p]), bv, s3);
-        }
-        _mm256_storeu_ps(c0 + j, s0);
-        _mm256_storeu_ps(c1 + j, s1);
-        _mm256_storeu_ps(c2 + j, s2);
-        _mm256_storeu_ps(c3 + j, s3);
-    }
-    for (; j < nb; ++j) {
-        float s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
-        for (std::int64_t p = 0; p < kb; ++p) {
-            const float bv = b[p * ldb + j];
-            s0 = __builtin_fmaf(a0[p], bv, s0);
-            s1 = __builtin_fmaf(a1[p], bv, s1);
-            s2 = __builtin_fmaf(a2[p], bv, s2);
-            s3 = __builtin_fmaf(a3[p], bv, s3);
-        }
-        c0[j] = s0;
-        c1[j] = s1;
-        c2[j] = s2;
-        c3[j] = s3;
+    return static_cast<__mmask16>(
+        (1u << std::clamp<std::int64_t>(count, 0, 16)) - 1);
+}
+
+/** Copy a kb x 32 slice of B into `panel`, columns >= nb zeroed. */
+__attribute__((target("avx512f"))) void
+packZmm(const float *b, std::int64_t ldb, std::int64_t kb,
+        std::int64_t nb, float *panel)
+{
+    const __mmask16 m0 = laneMask16(nb), m1 = laneMask16(nb - 16);
+    const float *b1 = nb > 16 ? b + 16 : b;
+    for (std::int64_t p = 0; p < kb; ++p) {
+        _mm512_store_ps(panel + p * 32,
+                        _mm512_maskz_loadu_ps(m0, b + p * ldb));
+        _mm512_store_ps(panel + p * 32 + 16,
+                        _mm512_maskz_loadu_ps(m1, b1 + p * ldb));
     }
 }
 
-__attribute__((target("avx2,fma"))) void
-tile1Avx2(const float *a, const float *b, std::int64_t ldb, float *c,
-          std::int64_t kb, std::int64_t nb)
+/**
+ * C[R x nb] (+)= A[R x kb] * B[kb x 32], 2 zmm per row; B is a panel or
+ * a full strip read in place, rows `ldp` apart.  `first` starts the
+ * accumulators at +0 instead of reading C (the k block at k = 0).
+ */
+template <int R>
+__attribute__((target("avx512f"))) void
+tileZmm(const float *a, std::int64_t lda, const float *bp,
+        std::int64_t ldp, float *c, std::int64_t ldc, std::int64_t kb,
+        std::int64_t nb, bool first)
 {
-    std::int64_t j = 0;
-    for (; j + 8 <= nb; j += 8) {
-        __m256 s = _mm256_loadu_ps(c + j);
-        const float *bp = b + j;
-        for (std::int64_t p = 0; p < kb; ++p)
-            s = _mm256_fmadd_ps(_mm256_set1_ps(a[p]),
-                                _mm256_loadu_ps(bp + p * ldb), s);
-        _mm256_storeu_ps(c + j, s);
+    const __mmask16 m0 = laneMask16(nb), m1 = laneMask16(nb - 16);
+    const std::int64_t off1 = nb > 16 ? 16 : 0;
+    __m512 acc[R][2];
+#pragma GCC unroll 6
+    for (int r = 0; r < R; ++r) {
+        acc[r][0] = first ? _mm512_setzero_ps()
+                          : _mm512_maskz_loadu_ps(m0, c + r * ldc);
+        acc[r][1] = first ? _mm512_setzero_ps()
+                          : _mm512_maskz_loadu_ps(m1, c + r * ldc + off1);
     }
-    for (; j < nb; ++j) {
-        float s = c[j];
-        for (std::int64_t p = 0; p < kb; ++p)
-            s = __builtin_fmaf(a[p], b[p * ldb + j], s);
-        c[j] = s;
+    for (std::int64_t p = 0; p < kb; ++p) {
+        const __m512 b0 = _mm512_loadu_ps(bp + p * ldp);
+        const __m512 b1 = _mm512_loadu_ps(bp + p * ldp + 16);
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r) {
+            const __m512 av = _mm512_set1_ps(a[r * lda + p]);
+            acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
+            acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
+        }
+    }
+#pragma GCC unroll 6
+    for (int r = 0; r < R; ++r) {
+        _mm512_mask_storeu_ps(c + r * ldc, m0, acc[r][0]);
+        _mm512_mask_storeu_ps(c + r * ldc + off1, m1, acc[r][1]);
     }
 }
 
+/** AVX2 mask of the first `count` lanes (all-ones lanes, 0..8). */
+__attribute__((target("avx2"))) inline __m256i
+laneMask8(std::int64_t count)
+{
+    const int lanes = static_cast<int>(std::min<std::int64_t>(count, 8));
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(lanes),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** Copy a kb x 16 slice of B into `panel`, columns >= nb zeroed. */
+__attribute__((target("avx2"))) void
+packYmm(const float *b, std::int64_t ldb, std::int64_t kb,
+        std::int64_t nb, float *panel)
+{
+    const __m256i m0 = laneMask8(nb), m1 = laneMask8(nb - 8);
+    const float *b1 = nb > 8 ? b + 8 : b;
+    for (std::int64_t p = 0; p < kb; ++p) {
+        _mm256_store_ps(panel + p * 16,
+                        _mm256_maskload_ps(b + p * ldb, m0));
+        _mm256_store_ps(panel + p * 16 + 8,
+                        _mm256_maskload_ps(b1 + p * ldb, m1));
+    }
+}
+
+/** The 256-bit twin of tileZmm: 2 ymm per row, 16 columns. */
+template <int R>
 __attribute__((target("avx2,fma"))) void
+tileYmm(const float *a, std::int64_t lda, const float *bp,
+        std::int64_t ldp, float *c, std::int64_t ldc, std::int64_t kb,
+        std::int64_t nb, bool first)
+{
+    const __m256i m0 = laneMask8(nb), m1 = laneMask8(nb - 8);
+    const std::int64_t off1 = nb > 8 ? 8 : 0;
+    __m256 acc[R][2];
+#pragma GCC unroll 6
+    for (int r = 0; r < R; ++r) {
+        acc[r][0] = first ? _mm256_setzero_ps()
+                          : _mm256_maskload_ps(c + r * ldc, m0);
+        acc[r][1] = first ? _mm256_setzero_ps()
+                          : _mm256_maskload_ps(c + r * ldc + off1, m1);
+    }
+    for (std::int64_t p = 0; p < kb; ++p) {
+        const __m256 b0 = _mm256_loadu_ps(bp + p * ldp);
+        const __m256 b1 = _mm256_loadu_ps(bp + p * ldp + 8);
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r) {
+            const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
+            acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
+            acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+        }
+    }
+#pragma GCC unroll 6
+    for (int r = 0; r < R; ++r) {
+        _mm256_maskstore_ps(c + r * ldc, m0, acc[r][0]);
+        _mm256_maskstore_ps(c + r * ldc + off1, m1, acc[r][1]);
+    }
+}
+
+using PackFn = void (*)(const float *, std::int64_t, std::int64_t,
+                        std::int64_t, float *);
+using TileFn = void (*)(const float *, std::int64_t, const float *,
+                        std::int64_t, float *, std::int64_t,
+                        std::int64_t, std::int64_t, bool);
+
+/** One micro-kernel width: its strip width, packer and row tiles. */
+struct MicroKernel
+{
+    std::int64_t width;
+    PackFn pack;
+    TileFn tile[kTileRows]; //!< tile[r - 1] computes r rows
+    /** Runs a last strip of at most width / 2 columns, if set. */
+    const MicroKernel *half;
+};
+
+const MicroKernel kYmmKernel{
+    16,
+    &packYmm,
+    {&tileYmm<1>, &tileYmm<2>, &tileYmm<3>, &tileYmm<4>, &tileYmm<5>,
+     &tileYmm<6>},
+    nullptr};
+const MicroKernel kZmmKernel{
+    32,
+    &packZmm,
+    {&tileZmm<1>, &tileZmm<2>, &tileZmm<3>, &tileZmm<4>, &tileZmm<5>,
+     &tileZmm<6>},
+    &kYmmKernel};
+
+void
+gemmPanels(const MicroKernel &uk, const float *a, std::int64_t lda,
+           const float *b, std::int64_t ldb, float *c, std::int64_t ldc,
+           std::int64_t m, std::int64_t k, std::int64_t n)
+{
+    if (k == 0) {
+        for (std::int64_t i = 0; i < m; ++i)
+            std::memset(c + i * ldc, 0,
+                        static_cast<std::size_t>(n) * sizeof(float));
+        return;
+    }
+    alignas(64) float panel[kPanelK * kPanelMaxWidth];
+    const bool in_place = m <= kTileRows;
+    for (std::int64_t jc = 0; jc < n; jc += uk.width) {
+        // A narrow last strip (n = 10 or 16, say) runs the half-width
+        // kernel instead of masking off half of every vector.
+        const MicroKernel &sk =
+            uk.half != nullptr && n - jc <= uk.width / 2 ? *uk.half : uk;
+        const std::int64_t nb = std::min(sk.width, n - jc);
+        for (std::int64_t pc = 0; pc < k; pc += kPanelK) {
+            const std::int64_t kb = std::min(kPanelK, k - pc);
+            const float *bp = b + pc * ldb + jc;
+            std::int64_t ldp = ldb;
+            if (!in_place || nb < sk.width) {
+                sk.pack(bp, ldb, kb, nb, panel);
+                bp = panel;
+                ldp = sk.width;
+            }
+            for (std::int64_t i = 0; i < m; i += kTileRows) {
+                const std::int64_t rows =
+                    std::min<std::int64_t>(kTileRows, m - i);
+                sk.tile[rows - 1](a + i * lda + pc, lda, bp, ldp,
+                                  c + i * ldc + jc, ldc, kb, nb,
+                                  pc == 0);
+            }
+        }
+    }
+}
+
+void
 gemmAvx2(const float *a, std::int64_t lda, const float *b,
          std::int64_t ldb, float *c, std::int64_t ldc, std::int64_t m,
          std::int64_t k, std::int64_t n)
 {
-    for (std::int64_t i = 0; i < m; ++i)
-        std::memset(c + i * ldc, 0,
-                    static_cast<std::size_t>(n) * sizeof(float));
-    for (std::int64_t jc = 0; jc < n; jc += kNc) {
-        const std::int64_t nb = std::min(kNc, n - jc);
-        for (std::int64_t pc = 0; pc < k; pc += kKc) {
-            const std::int64_t kb = std::min(kKc, k - pc);
-            const float *bp = b + pc * ldb + jc;
-            std::int64_t i = 0;
-            for (; i + 4 <= m; i += 4) {
-                const float *ap = a + i * lda + pc;
-                float *cp = c + i * ldc + jc;
-                tile4Avx2(ap, ap + lda, ap + 2 * lda, ap + 3 * lda, bp,
-                          ldb, cp, cp + ldc, cp + 2 * ldc, cp + 3 * ldc,
-                          kb, nb);
-            }
-            for (; i < m; ++i) {
-                tile1Avx2(a + i * lda + pc, bp, ldb, c + i * ldc + jc,
-                          kb, nb);
-            }
-        }
-    }
+    static const bool avx512f = __builtin_cpu_supports("avx512f");
+    detail::gemmAvx2ForCpu(avx512f, a, lda, b, ldb, c, ldc, m, k, n);
 }
 
 /** Shared bodies recompiled for 256-bit moves / autovectorization. */
@@ -668,6 +800,18 @@ const KernelTable kNeonTable{KernelIsa::Neon, &gemmNeon, &im2colScalar,
 #endif
 
 } // namespace
+
+#if FPSA_KERNELS_X86
+void
+detail::gemmAvx2ForCpu(bool avx512f, const float *a, std::int64_t lda,
+                       const float *b, std::int64_t ldb, float *c,
+                       std::int64_t ldc, std::int64_t m, std::int64_t k,
+                       std::int64_t n)
+{
+    gemmPanels(avx512f ? kZmmKernel : kYmmKernel, a, lda, b, ldb, c, ldc,
+               m, k, n);
+}
+#endif
 
 const char *
 kernelIsaName(KernelIsa isa)

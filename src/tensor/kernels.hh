@@ -11,8 +11,10 @@
  *    register-tile kernels, compiled with the build's default flags) --
  *    always available, and the oracle the vector variants are tested
  *    against.
- *  - `Avx2` (x86 only, runtime CPUID-gated on AVX2+FMA) widens the
- *    fp32 inner loops to 8-lane fused multiply-adds and recompiles the
+ *  - `Avx2` (x86 only, runtime CPUID-gated on AVX2+FMA) runs fp32
+ *    GEMM as a register-blocked micro-kernel over B panels packed on
+ *    the stack: 6x32 with AVX-512F (12 zmm accumulators), else 6x16
+ *    (12 ymm), chosen by CPUID with no setting.  It recompiles the
  *    packing/int8 loops for 256-bit autovectorization.
  *  - `Neon` (aarch64 only) uses explicit 4-lane fused multiply-adds.
  *
@@ -20,13 +22,17 @@
  * table, every output column accumulates its products in the same
  * k-ascending order with the same (fused or unfused) multiply-add
  * operation regardless of the column count, the column's position, or
- * pointer alignment -- vector bodies cover remainder columns with a
- * scalar *fused* multiply-add so a column computes the same value
- * whether it lands in a full vector or the tail.  A batched call that
- * widens `n` is therefore bit-identical per column to single-sample
- * calls through the same table.  Different tables may differ within
- * float rounding (FMA vs separate multiply+add); the int8 GEMM is
- * exact integer arithmetic and bit-identical across every table.
+ * pointer alignment -- the vector tables make every element one fused
+ * multiply-add chain from 0, with remainder columns under masks (or a
+ * scalar fused multiply-add), so a column computes the same value
+ * whether it lands in a full vector or the tail.  Both `Avx2` widths
+ * compute that same chain, and so did the table's earlier 4x8 tile,
+ * so its bits do not depend on the host's vector width or on the
+ * kernel's version.  A batched call that widens `n` is therefore
+ * bit-identical per column to single-sample calls through the same
+ * table.  Different tables may differ within float rounding (FMA vs
+ * separate multiply+add); the int8 GEMM is exact integer arithmetic
+ * and bit-identical across every table.
  *
  * Selection: `kernelTable(KernelIsa::Auto)` picks the best variant the
  * CPU supports.  The environment variable `FPSA_KERNEL_ISA`
@@ -51,7 +57,7 @@ enum class KernelIsa
 {
     Auto,   //!< resolve to the best available variant at runtime
     Scalar, //!< portable baseline; always available
-    Avx2,   //!< x86 AVX2+FMA (8-lane fp32 FMA)
+    Avx2,   //!< x86 AVX2+FMA: fp32 FMA micro-kernel, 512-bit if AVX-512F
     Neon,   //!< aarch64 NEON (4-lane fp32 FMA)
 };
 

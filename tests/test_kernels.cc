@@ -3,19 +3,26 @@
  * Tests for the runtime-dispatched kernel layer (tensor/kernels.hh):
  * ISA name/parse round-trips, resolution and availability semantics,
  * golden equivalence of every available vector variant against the
- * scalar baseline, the per-table determinism contract (a column's bits
- * do not depend on the call's width), exactness and cross-table
+ * scalar baseline, bit-exactness of the vector fp32 GEMMs against a
+ * fused multiply-add chain, the per-table determinism contract (a
+ * column's bits do not depend on the call's width), exactness and
+ * cross-table
  * bit-identity of the int8 GEMM, and im2col equivalence across tables.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
 #include "tensor/kernels.hh"
+#include "tensor/kernels_x86.hh"
 
 namespace fpsa
 {
@@ -153,6 +160,94 @@ TEST(KernelTableGolden, ColumnBitsIndependentOfCallWidthPerTable)
                 ASSERT_EQ(narrow[static_cast<std::size_t>(i)],
                           wide[static_cast<std::size_t>(i * n + j)])
                     << kernelIsaName(isa) << " " << i << "," << j;
+        }
+    }
+}
+
+TEST(KernelTableGolden, VectorGemmBitExactAgainstFusedChain)
+{
+    // Every vector table computes each C element as one fused
+    // multiply-add chain from 0 in k-ascending order.  The sweep hits
+    // every row tail of the 6-row micro-kernel, every column tail of
+    // the 16- and 32-wide strips, and k on both sides of the 256-row
+    // panel, through padded strides and pointers off 64-byte alignment.
+    using Gemm = std::function<void(
+        const float *, std::int64_t, const float *, std::int64_t, float *,
+        std::int64_t, std::int64_t, std::int64_t, std::int64_t)>;
+    std::vector<std::pair<std::string, Gemm>> gemms;
+    for (KernelIsa isa : availableIsas())
+        if (isa != KernelIsa::Scalar)
+            gemms.emplace_back(kernelIsaName(isa),
+                               kernelTable(isa).gemmRowMajor);
+#if defined(__x86_64__) || defined(__i386__)
+    // Both micro-kernel widths, whichever one CPUID picks for the table.
+    if (kernelIsaAvailable(KernelIsa::Avx2)) {
+        for (bool zmm : {false, true})
+            if (!zmm || __builtin_cpu_supports("avx512f"))
+                gemms.emplace_back(zmm ? "zmm" : "ymm",
+                                   [zmm](auto... args) {
+                                       detail::gemmAvx2ForCpu(zmm,
+                                                              args...);
+                                   });
+    }
+#endif
+    if (gemms.empty())
+        GTEST_SKIP() << "no vector kernel table on this host";
+
+    const std::int64_t max_m = 13, max_k = 864;
+    std::vector<std::int64_t> widths;
+    for (std::int64_t n = 1; n <= 70; ++n)
+        widths.push_back(n);
+    widths.push_back(1027);
+    const std::int64_t max_n = widths.back();
+    const std::int64_t lda = max_k + 5, ldb = max_n + 3, ldc = max_n + 7;
+    // +1 keeps every operand off 64-byte alignment.
+    const auto a_buf =
+        randomFloats(static_cast<std::size_t>(max_m * lda + 1), 21);
+    const auto b_buf =
+        randomFloats(static_cast<std::size_t>(max_k * ldb + 1), 22);
+    const float *a = a_buf.data() + 1;
+    const float *b = b_buf.data() + 1;
+    const float sentinel = -1234.5f;
+    std::vector<float> c_buf(
+        static_cast<std::size_t>((max_m + 1) * ldc + 1));
+    float *c = c_buf.data() + 1;
+
+    for (std::int64_t k : {1, 27, 255, 256, 257, 864}) {
+        // A column's chain depends on neither m nor n, so one reference
+        // over the largest shape serves every (m, n) below.
+        std::vector<float> want(static_cast<std::size_t>(max_m * max_n));
+        for (std::int64_t i = 0; i < max_m; ++i) {
+            for (std::int64_t j = 0; j < max_n; ++j) {
+                float acc = 0.0f;
+                for (std::int64_t p = 0; p < k; ++p)
+                    acc = std::fmaf(a[i * lda + p], b[p * ldb + j], acc);
+                want[static_cast<std::size_t>(i * max_n + j)] = acc;
+            }
+        }
+        for (const auto &[name, gemm] : gemms) {
+            for (std::int64_t m = 1; m <= max_m; ++m) {
+                for (std::int64_t n : widths) {
+                    std::fill(c_buf.begin(), c_buf.end(), sentinel);
+                    gemm(a, lda, b, ldb, c, ldc, m, k, n);
+                    for (std::int64_t i = 0; i < m; ++i) {
+                        for (std::int64_t j = 0; j < n; ++j)
+                            ASSERT_EQ(c[i * ldc + j],
+                                      want[static_cast<std::size_t>(
+                                          i * max_n + j)])
+                                << name << " m=" << m << " k=" << k
+                                << " n=" << n << " at " << i << ","
+                                << j;
+                        // Masked tails never write past column n.
+                        ASSERT_EQ(c[i * ldc + n], sentinel)
+                            << name << " m=" << m << " k=" << k
+                            << " n=" << n << " row " << i;
+                    }
+                    ASSERT_EQ(c[m * ldc], sentinel)
+                        << name << " m=" << m << " k=" << k
+                        << " n=" << n << " wrote past row m";
+                }
+            }
         }
     }
 }
