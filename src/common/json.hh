@@ -11,6 +11,7 @@
 #define FPSA_COMMON_JSON_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -107,7 +108,23 @@ class JsonValue
 
     bool boolean() const { return isBool() && bool_; }
     double number() const { return isNumber() ? number_ : 0.0; }
-    std::int64_t asInt() const { return static_cast<std::int64_t>(number()); }
+
+    /**
+     * The number truncated toward zero, saturated to the int64 range:
+     * casting a double outside it (a corrupt document's 1e30) is
+     * undefined behaviour.
+     */
+    std::int64_t
+    asInt() const
+    {
+        const double x = number();
+        if (x >= 0x1p63)
+            return std::numeric_limits<std::int64_t>::max();
+        if (x < -0x1p63)
+            return std::numeric_limits<std::int64_t>::min();
+        return static_cast<std::int64_t>(x);
+    }
+
     const std::string &string() const;
 
     /** Array elements (empty for non-arrays). */

@@ -166,6 +166,37 @@ ExecutionPlan::build(const Graph &graph, const PlanOptions &options)
         act_bits > 0 ? static_cast<float>((1 << (act_bits - 1)) - 1)
                      : 0.0f;
 
+    // ---- ReLU fusion: a Relu that is the only reader of a conv/fc
+    // output (directly or through single-reader alias ops) is applied
+    // where that layer writes, and the Relu becomes an alias like
+    // Flatten/BatchNorm.  Nothing else reads the pre-ReLU values, and
+    // max(x, 0) is exact, so the plan's bits do not change.
+    std::vector<int> readers(graph.size(), 0);
+    for (NodeId id : order)
+        for (NodeId in : graph.node(id).inputs)
+            ++readers[static_cast<std::size_t>(in)];
+    std::vector<bool> fusedRelu(graph.size(), false);
+    std::vector<bool> reluEpilogue(graph.size(), false);
+    for (NodeId id : order) {
+        const GraphNode &n = graph.node(id);
+        if (n.kind != OpKind::Relu)
+            continue;
+        NodeId src = n.inputs[0];
+        while (readers[static_cast<std::size_t>(src)] == 1 &&
+               isAliasOp(graph.node(src).kind))
+            src = graph.node(src).inputs[0];
+        const OpKind kind = graph.node(src).kind;
+        if (readers[static_cast<std::size_t>(src)] == 1 &&
+            (kind == OpKind::Conv2d || kind == OpKind::FullyConnected)) {
+            fusedRelu[static_cast<std::size_t>(id)] = true;
+            reluEpilogue[static_cast<std::size_t>(src)] = true;
+        }
+    }
+    const auto isAlias = [&](NodeId id) {
+        return isAliasOp(graph.node(id).kind) ||
+               fusedRelu[static_cast<std::size_t>(id)];
+    };
+
     // ---- Liveness: map every node to a buffer (aliases share their
     // input's), then find each buffer's defining and last-using
     // schedule positions.
@@ -195,7 +226,7 @@ ExecutionPlan::build(const Graph &graph, const PlanOptions &options)
                 std::max(buffers[static_cast<std::size_t>(buf)].lastUse,
                          p);
         }
-        if (isAliasOp(n.kind)) {
+        if (isAlias(id)) {
             const int buf =
                 nodeBuffer[static_cast<std::size_t>(n.inputs[0])];
             if (shapeNumel(n.outShape) !=
@@ -253,11 +284,12 @@ ExecutionPlan::build(const Graph &graph, const PlanOptions &options)
     for (std::size_t p = 0; p < order.size(); ++p) {
         const NodeId id = order[p];
         const GraphNode &n = graph.node(id);
-        if (isAliasOp(n.kind))
+        if (isAlias(id))
             continue;
         Step s;
         s.kind = n.kind;
         s.node = id;
+        s.relu = reluEpilogue[static_cast<std::size_t>(id)];
         s.out = offsetOf(id);
         s.outNumel = shapeNumel(n.outShape);
         for (NodeId in : n.inputs) {
@@ -474,6 +506,8 @@ ExecutionPlan::execConv(const Step &s, int nb, PlanContext &ctx) const
     const bool identity =
         s.kernel == 1 && s.stride == 1 && s.pad == 0;
     const bool coalesce = b > 1 && hw < kCoalesceColumns;
+    const auto gemm =
+        s.relu ? kernels_->gemmRowMajorRelu : kernels_->gemmRowMajor;
 
     for (std::int64_t g = 0; g < s.groups; ++g) {
         const float *wg = w_all + g * co_g * kk;
@@ -495,11 +529,15 @@ ExecutionPlan::execConv(const Step &s, int nb, PlanContext &ctx) const
                                    kk, ldm);
             for (std::int64_t oc = 0; oc < co_g; ++oc) {
                 for (std::int64_t i = 0; i < b; ++i) {
-                    std::memcpy(out_base + i * s.outNumel +
-                                    (g * co_g + oc) * hw,
-                                stage + oc * ldm + i * hw,
-                                static_cast<std::size_t>(hw) *
-                                    sizeof(float));
+                    const float *src = stage + oc * ldm + i * hw;
+                    float *dst =
+                        out_base + i * s.outNumel + (g * co_g + oc) * hw;
+                    if (s.relu)
+                        reluForward(src, dst, hw);
+                    else
+                        std::memcpy(dst, src,
+                                    static_cast<std::size_t>(hw) *
+                                        sizeof(float));
                 }
             }
             continue;
@@ -518,10 +556,8 @@ ExecutionPlan::execConv(const Step &s, int nb, PlanContext &ctx) const
                                     hw, 0.0f);
                 cols = ctx.columns_.data();
             }
-            kernels_->gemmRowMajor(wg, kk, cols, hw,
-                                   out_base + i * s.outNumel +
-                                       g * co_g * hw,
-                                   hw, co_g, kk, hw);
+            gemm(wg, kk, cols, hw, out_base + i * s.outNumel + g * co_g * hw,
+                 hw, co_g, kk, hw);
         }
     }
 }
@@ -537,8 +573,8 @@ ExecutionPlan::execFullyConnected(const Step &s, int nb,
                           .data();
     // Inputs are sample-major and contiguous: [b x in] times the
     // pre-transposed [in x units] panel is the whole batch in one GEMM.
-    kernels_->gemmRowMajor(in_base, s.ci, wt, s.co, out_base, s.co, b,
-                           s.ci, s.co);
+    (s.relu ? kernels_->gemmRowMajorRelu : kernels_->gemmRowMajor)(
+        in_base, s.ci, wt, s.co, out_base, s.co, b, s.ci, s.co);
 }
 
 void
@@ -593,13 +629,11 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
                                kk, ldm);
             for (std::int64_t oc = 0; oc < co_g; ++oc) {
                 for (std::int64_t i = 0; i < b; ++i) {
-                    const std::int32_t *src = stage + oc * ldm + i * hw;
-                    float *dst = out_base + i * s.outNumel +
-                                 (g * co_g + oc) * hw;
-                    const float f =
-                        ctx.scales_[static_cast<std::size_t>(i)];
-                    for (std::int64_t x = 0; x < hw; ++x)
-                        dst[x] = static_cast<float>(src[x]) * f;
+                    dequantize(stage + oc * ldm + i * hw,
+                               out_base + i * s.outNumel +
+                                   (g * co_g + oc) * hw,
+                               hw, ctx.scales_[static_cast<std::size_t>(i)],
+                               s.relu);
                 }
             }
             continue;
@@ -625,9 +659,8 @@ ExecutionPlan::execConvInt8(const Step &s, int nb,
             std::int32_t *stage = ctx.stage32_.data();
             kernels_->gemmInt8(wg, kk, qcols, hw, stage, hw, co_g, kk,
                                hw);
-            float *dst = out_base + i * s.outNumel + g * co_g * hw;
-            for (std::int64_t v = 0; v < co_g * hw; ++v)
-                dst[v] = static_cast<float>(stage[v]) * f;
+            dequantize(stage, out_base + i * s.outNumel + g * co_g * hw,
+                       co_g * hw, f, s.relu);
         }
     }
 }
@@ -659,25 +692,19 @@ ExecutionPlan::execFullyConnectedInt8(const Step &s, int nb,
     std::int32_t *stage = ctx.stage32_.data();
     kernels_->gemmInt8(qin, s.ci, wt, s.co, stage, s.co, b, s.ci,
                        s.co);
-    for (std::int64_t i = 0; i < b; ++i) {
-        const float f = ctx.scales_[static_cast<std::size_t>(i)];
-        const std::int32_t *src = stage + i * s.co;
-        float *dst = out_base + i * s.co;
-        for (std::int64_t u = 0; u < s.co; ++u)
-            dst[u] = static_cast<float>(src[u]) * f;
-    }
+    for (std::int64_t i = 0; i < b; ++i)
+        dequantize(stage + i * s.co, out_base + i * s.co, s.co,
+                   ctx.scales_[static_cast<std::size_t>(i)], s.relu);
 }
 
 void
-ExecutionPlan::execPool(const Step &s, int nb, PlanContext &ctx,
-                        bool average) const
+ExecutionPlan::execAvgPool(const Step &s, int nb, PlanContext &ctx) const
 {
     const std::int64_t b = nb;
     const float *in_base = ctx.arena_.data() + s.in[0] * b;
     float *out_base = ctx.arena_.data() + s.out * b;
     const std::int64_t hw_in = s.hi * s.wi, hw_out = s.ho * s.wo;
-    const float norm =
-        average ? 1.0f / static_cast<float>(s.kernel * s.kernel) : 0.0f;
+    const float norm = 1.0f / static_cast<float>(s.kernel * s.kernel);
     for (std::int64_t i = 0; i < b; ++i) {
         for (std::int64_t c = 0; c < s.ci; ++c) {
             const float *plane =
@@ -695,22 +722,17 @@ ExecutionPlan::execPool(const Step &s, int nb, PlanContext &ctx,
                         std::max<std::int64_t>(0, -ix0);
                     const std::int64_t kx_hi =
                         std::min(s.kernel, s.wi - ix0);
-                    // Out-of-range taps contribute -inf (max) or zero
-                    // (average, which still divides by kernel^2 --
-                    // matching the reference's zero-padded semantics),
-                    // so only valid taps are visited.
-                    float acc = average ? 0.0f : -1e30f;
+                    // Out-of-range taps contribute zero but the sum
+                    // still divides by kernel^2, matching the
+                    // reference's zero-padded semantics, so only valid
+                    // taps are visited.
+                    float acc = 0.0f;
                     for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
                         const float *row = plane + (iy0 + ky) * s.wi;
-                        for (std::int64_t kx = kx_lo; kx < kx_hi;
-                             ++kx) {
-                            const float v = row[ix0 + kx];
-                            acc = average ? acc + v
-                                          : std::max(acc, v);
-                        }
+                        for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx)
+                            acc += row[ix0 + kx];
                     }
-                    out_plane[oy * s.wo + ox] =
-                        average ? acc * norm : acc;
+                    out_plane[oy * s.wo + ox] = acc * norm;
                 }
             }
         }
@@ -750,11 +772,16 @@ ExecutionPlan::runBatch(const float *const *inputs,
             else
                 execFullyConnectedInt8(s, batch, context);
             break;
-          case OpKind::MaxPool:
-            execPool(s, batch, context, false);
+          case OpKind::MaxPool: {
+            const float *in_base = arena + s.in[0] * b;
+            for (std::int64_t i = 0; i < b; ++i)
+                maxPoolChw(in_base + i * s.inNumel[0], s.ci, s.hi, s.wi,
+                           s.kernel, s.stride, s.pad, s.ho, s.wo,
+                           out_base + i * s.outNumel);
             break;
+          }
           case OpKind::AvgPool:
-            execPool(s, batch, context, true);
+            execAvgPool(s, batch, context);
             break;
           case OpKind::GlobalAvgPool: {
             const float *in_base = arena + s.in[0] * b;
@@ -772,13 +799,11 @@ ExecutionPlan::runBatch(const float *const *inputs,
             }
             break;
           }
-          case OpKind::Relu: {
-            const float *in_base = arena + s.in[0] * b;
-            const std::int64_t n = s.outNumel * b;
-            for (std::int64_t v = 0; v < n; ++v)
-                out_base[v] = std::max(0.0f, in_base[v]);
+          case OpKind::Relu:
+            // Only a Relu that could not fold into its producer runs
+            // here (after Add/Concat/pooling, or over a shared input).
+            reluForward(arena + s.in[0] * b, out_base, s.outNumel * b);
             break;
-          }
           case OpKind::Add: {
             // Same pairwise left-to-right order as the reference.
             const std::int64_t n = s.outNumel * b;
@@ -807,7 +832,7 @@ ExecutionPlan::runBatch(const float *const *inputs,
           }
           case OpKind::Flatten:
           case OpKind::BatchNorm:
-            // Erased into aliases at build time.
+            // Erased into aliases at build time (as is a fused Relu).
             break;
         }
     }

@@ -10,6 +10,15 @@
  *
  *  - the op schedule is fixed at build time (topo order, with identity
  *    ops -- Flatten, BatchNorm -- erased into buffer aliases);
+ *  - a Relu that is the only reader of a conv/fc output (directly or
+ *    through those aliases) is fused: the layer applies max(x, 0) as it
+ *    writes -- in the GEMM micro-kernel's registers
+ *    (`gemmRowMajorRelu`), in the batched conv's stage-to-arena copy, or
+ *    in the int8 dequantize loop -- and the Relu becomes an alias that
+ *    takes no arena buffer.  max is exact, so fusion changes no output
+ *    bit.  A Relu after Add/Concat/pooling, or over an output that
+ *    another node also reads, still runs as its own branch-free step
+ *    (`reluForward`), as does max-pool (`maxPoolChw`);
  *  - every node's activation lives at a liveness-analyzed offset in one
  *    float arena, so buffers are reused as soon as their last consumer
  *    has run and reshapes alias instead of copying;
@@ -154,6 +163,7 @@ class ExecutionPlan
         std::int64_t co = 0, ho = 0, wo = 0;
         std::int64_t kernel = 0, stride = 1, pad = 0, groups = 1;
         int weight = -1; //!< index into weights_
+        bool relu = false; //!< conv/fc: a fused Relu's max(x, 0) epilogue
     };
 
     ExecutionPlan() = default;
@@ -166,8 +176,7 @@ class ExecutionPlan
     void execConvInt8(const Step &s, int nb, PlanContext &ctx) const;
     void execFullyConnectedInt8(const Step &s, int nb,
                                 PlanContext &ctx) const;
-    void execPool(const Step &s, int nb, PlanContext &ctx,
-                  bool average) const;
+    void execAvgPool(const Step &s, int nb, PlanContext &ctx) const;
 
     std::vector<Step> steps_;
     std::vector<std::vector<float>> weights_; //!< packed GEMM panels

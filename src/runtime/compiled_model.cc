@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -667,8 +668,19 @@ readNetlist(const JsonValue &v)
                 StatusCode::InvalidArgument,
                 "compiled model: net references an out-of-range block");
         }
+        // Netlist::addNet panics on a non-positive width, and a width
+        // past INT32_MAX would wrap in the narrowing cast.
+        const std::int64_t width = d.i64(nv, "width");
+        if (!d.status().ok())
+            return d.status();
+        if (width < 1 || width > std::numeric_limits<std::int32_t>::max()) {
+            return Status::error(StatusCode::InvalidArgument,
+                                 "compiled model: net width " +
+                                     std::to_string(width) +
+                                     " is outside [1, INT32_MAX]");
+        }
         nl.addNet(d.str(nv, "name"), static_cast<BlockId>(driver),
-                  std::move(sinks), static_cast<int>(d.i64(nv, "width")));
+                  std::move(sinks), static_cast<int>(width));
     }
     if (!d.status().ok())
         return d.status();

@@ -33,6 +33,39 @@ namespace
 constexpr std::int64_t kKc = 128;
 constexpr std::int64_t kNc = 512;
 
+/**
+ * `x > floor ? x : floor` -- `std::max(floor, x)` -- as one maxss where
+ * SSE is available: gcc compiles the plain expression to a branch.
+ */
+inline float
+maxOf(float x, float floor)
+{
+#if defined(__SSE2__)
+    return _mm_cvtss_f32(_mm_max_ss(_mm_set_ss(x), _mm_set_ss(floor)));
+#else
+    return x > floor ? x : floor;
+#endif
+}
+
+using GemmFn = void (*)(const float *, std::int64_t, const float *,
+                        std::int64_t, float *, std::int64_t, std::int64_t,
+                        std::int64_t, std::int64_t);
+
+/**
+ * The fused-ReLU entry of a table whose GEMM has no register epilogue:
+ * the GEMM, then a ReLU pass over C's rows (still cache-hot).
+ */
+template <GemmFn Gemm>
+void
+gemmThenRelu(const float *a, std::int64_t lda, const float *b,
+             std::int64_t ldb, float *c, std::int64_t ldc, std::int64_t m,
+             std::int64_t k, std::int64_t n)
+{
+    Gemm(a, lda, b, ldb, c, ldc, m, k, n);
+    for (std::int64_t i = 0; i < m; ++i)
+        reluForward(c + i * ldc, c + i * ldc, n);
+}
+
 // ------------------------------------------------------------- scalar fp32
 
 /**
@@ -273,7 +306,10 @@ gemmInt8Scalar(const std::int8_t *a, std::int64_t lda,
  * does not depend on the tile, the tail or the call's width, so
  * batched == single stays bit-identical; it is also exactly what this
  * table's earlier 4 x 8 axpy tile computed, so the table's outputs
- * did not change bits when the micro-kernel replaced it.
+ * did not change bits when the micro-kernel replaced it.  The fused
+ * ReLU entry runs the same chain and takes max(x, +0) in registers
+ * only as the last k block is stored, so its bits are those of the
+ * plain GEMM followed by `std::max(0.0f, x)`.
  */
 constexpr std::int64_t kPanelK = 256;
 constexpr std::int64_t kPanelMaxWidth = 32;
@@ -305,13 +341,16 @@ packZmm(const float *b, std::int64_t ldb, std::int64_t kb,
 /**
  * C[R x nb] (+)= A[R x kb] * B[kb x 32], 2 zmm per row; B is a panel or
  * a full strip read in place, rows `ldp` apart.  `first` starts the
- * accumulators at +0 instead of reading C (the k block at k = 0).
+ * accumulators at +0 instead of reading C (the k block at k = 0);
+ * `relu` stores max(acc, +0) instead of acc (the last k block of a
+ * fused-ReLU call).  vmaxps(acc, 0) returns 0 unless acc > 0, which is
+ * `std::max(0.0f, acc)` for NaN and -0 too.
  */
 template <int R>
 __attribute__((target("avx512f"))) void
 tileZmm(const float *a, std::int64_t lda, const float *bp,
         std::int64_t ldp, float *c, std::int64_t ldc, std::int64_t kb,
-        std::int64_t nb, bool first)
+        std::int64_t nb, bool first, bool relu)
 {
     const __mmask16 m0 = laneMask16(nb), m1 = laneMask16(nb - 16);
     const std::int64_t off1 = nb > 16 ? 16 : 0;
@@ -331,6 +370,17 @@ tileZmm(const float *a, std::int64_t lda, const float *bp,
             const __m512 av = _mm512_set1_ps(a[r * lda + p]);
             acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
             acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
+        }
+    }
+    if (relu) {
+        // The all-lanes masked form: gcc 12's _mm512_max_ps reads an
+        // undefined vector and trips -Wmaybe-uninitialized.
+        const __m512 zero = _mm512_setzero_ps();
+        const __mmask16 all = 0xffff;
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r) {
+            acc[r][0] = _mm512_maskz_max_ps(all, acc[r][0], zero);
+            acc[r][1] = _mm512_maskz_max_ps(all, acc[r][1], zero);
         }
     }
 #pragma GCC unroll 6
@@ -369,7 +419,7 @@ template <int R>
 __attribute__((target("avx2,fma"))) void
 tileYmm(const float *a, std::int64_t lda, const float *bp,
         std::int64_t ldp, float *c, std::int64_t ldc, std::int64_t kb,
-        std::int64_t nb, bool first)
+        std::int64_t nb, bool first, bool relu)
 {
     const __m256i m0 = laneMask8(nb), m1 = laneMask8(nb - 8);
     const std::int64_t off1 = nb > 8 ? 8 : 0;
@@ -391,6 +441,14 @@ tileYmm(const float *a, std::int64_t lda, const float *bp,
             acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
         }
     }
+    if (relu) {
+        const __m256 zero = _mm256_setzero_ps();
+#pragma GCC unroll 6
+        for (int r = 0; r < R; ++r) {
+            acc[r][0] = _mm256_max_ps(acc[r][0], zero);
+            acc[r][1] = _mm256_max_ps(acc[r][1], zero);
+        }
+    }
 #pragma GCC unroll 6
     for (int r = 0; r < R; ++r) {
         _mm256_maskstore_ps(c + r * ldc, m0, acc[r][0]);
@@ -402,7 +460,7 @@ using PackFn = void (*)(const float *, std::int64_t, std::int64_t,
                         std::int64_t, float *);
 using TileFn = void (*)(const float *, std::int64_t, const float *,
                         std::int64_t, float *, std::int64_t,
-                        std::int64_t, std::int64_t, bool);
+                        std::int64_t, std::int64_t, bool, bool);
 
 /** One micro-kernel width: its strip width, packer and row tiles. */
 struct MicroKernel
@@ -427,10 +485,12 @@ const MicroKernel kZmmKernel{
      &tileZmm<6>},
     &kYmmKernel};
 
+/** The panel GEMM; `relu` applies max(x, +0) as the last k block lands. */
 void
-gemmPanels(const MicroKernel &uk, const float *a, std::int64_t lda,
-           const float *b, std::int64_t ldb, float *c, std::int64_t ldc,
-           std::int64_t m, std::int64_t k, std::int64_t n)
+gemmPanels(const MicroKernel &uk, bool relu, const float *a,
+           std::int64_t lda, const float *b, std::int64_t ldb, float *c,
+           std::int64_t ldc, std::int64_t m, std::int64_t k,
+           std::int64_t n)
 {
     if (k == 0) {
         for (std::int64_t i = 0; i < m; ++i)
@@ -460,19 +520,21 @@ gemmPanels(const MicroKernel &uk, const float *a, std::int64_t lda,
                     std::min<std::int64_t>(kTileRows, m - i);
                 sk.tile[rows - 1](a + i * lda + pc, lda, bp, ldp,
                                   c + i * ldc + jc, ldc, kb, nb,
-                                  pc == 0);
+                                  pc == 0, relu && pc + kb == k);
             }
         }
     }
 }
 
+template <bool Relu>
 void
 gemmAvx2(const float *a, std::int64_t lda, const float *b,
          std::int64_t ldb, float *c, std::int64_t ldc, std::int64_t m,
          std::int64_t k, std::int64_t n)
 {
     static const bool avx512f = __builtin_cpu_supports("avx512f");
-    detail::gemmAvx2ForCpu(avx512f, a, lda, b, ldb, c, ldc, m, k, n);
+    detail::gemmAvx2ForCpu(avx512f, Relu, a, lda, b, ldb, c, ldc, m, k,
+                           n);
 }
 
 /** Shared bodies recompiled for 256-bit moves / autovectorization. */
@@ -789,13 +851,15 @@ detectBest()
 }
 
 const KernelTable kScalarTable{KernelIsa::Scalar, &gemmScalar,
+                               &gemmThenRelu<&gemmScalar>,
                                &im2colScalar, &gemmInt8Scalar};
 #if FPSA_KERNELS_X86
-const KernelTable kAvx2Table{KernelIsa::Avx2, &gemmAvx2, &im2colAvx2,
-                             &gemmInt8Avx2};
+const KernelTable kAvx2Table{KernelIsa::Avx2, &gemmAvx2<false>,
+                             &gemmAvx2<true>, &im2colAvx2, &gemmInt8Avx2};
 #endif
 #if FPSA_KERNELS_NEON
-const KernelTable kNeonTable{KernelIsa::Neon, &gemmNeon, &im2colScalar,
+const KernelTable kNeonTable{KernelIsa::Neon, &gemmNeon,
+                             &gemmThenRelu<&gemmNeon>, &im2colScalar,
                              &gemmInt8Scalar};
 #endif
 
@@ -803,15 +867,81 @@ const KernelTable kNeonTable{KernelIsa::Neon, &gemmNeon, &im2colScalar,
 
 #if FPSA_KERNELS_X86
 void
-detail::gemmAvx2ForCpu(bool avx512f, const float *a, std::int64_t lda,
-                       const float *b, std::int64_t ldb, float *c,
-                       std::int64_t ldc, std::int64_t m, std::int64_t k,
-                       std::int64_t n)
+detail::gemmAvx2ForCpu(bool avx512f, bool relu, const float *a,
+                       std::int64_t lda, const float *b, std::int64_t ldb,
+                       float *c, std::int64_t ldc, std::int64_t m,
+                       std::int64_t k, std::int64_t n)
 {
-    gemmPanels(avx512f ? kZmmKernel : kYmmKernel, a, lda, b, ldb, c, ldc,
-               m, k, n);
+    gemmPanels(avx512f ? kZmmKernel : kYmmKernel, relu, a, lda, b, ldb, c,
+               ldc, m, k, n);
 }
 #endif
+
+void
+reluForward(const float *in, float *out, std::int64_t n)
+{
+    std::int64_t v = 0;
+#if defined(__SSE2__)
+    const __m128 zero = _mm_setzero_ps();
+    for (; v + 4 <= n; v += 4)
+        _mm_storeu_ps(out + v, _mm_max_ps(_mm_loadu_ps(in + v), zero));
+#endif
+    for (; v < n; ++v)
+        out[v] = maxOf(in[v], 0.0f);
+}
+
+void
+dequantize(const std::int32_t *in, float *out, std::int64_t n,
+           float scale, bool relu)
+{
+    std::int64_t v = 0;
+#if defined(__SSE2__)
+    // cvtdq2ps and mulps round exactly like the scalar cast and multiply.
+    const __m128 f = _mm_set1_ps(scale);
+    const __m128 zero = _mm_setzero_ps();
+    for (; v + 4 <= n; v += 4) {
+        __m128 x = _mm_mul_ps(
+            _mm_cvtepi32_ps(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(in + v))),
+            f);
+        if (relu)
+            x = _mm_max_ps(x, zero);
+        _mm_storeu_ps(out + v, x);
+    }
+#endif
+    for (; v < n; ++v) {
+        const float x = static_cast<float>(in[v]) * scale;
+        out[v] = relu ? maxOf(x, 0.0f) : x;
+    }
+}
+
+void
+maxPoolChw(const float *input, std::int64_t ci, std::int64_t hi,
+           std::int64_t wi, std::int64_t kernel, std::int64_t stride,
+           std::int64_t pad, std::int64_t ho, std::int64_t wo, float *out)
+{
+    for (std::int64_t c = 0; c < ci; ++c) {
+        const float *plane = input + c * hi * wi;
+        float *out_plane = out + c * ho * wo;
+        for (std::int64_t oy = 0; oy < ho; ++oy) {
+            const std::int64_t iy0 = oy * stride - pad;
+            const std::int64_t ky_lo = std::max<std::int64_t>(0, -iy0);
+            const std::int64_t ky_hi = std::min(kernel, hi - iy0);
+            for (std::int64_t ox = 0; ox < wo; ++ox) {
+                const std::int64_t ix0 = ox * stride - pad;
+                const std::int64_t kx_lo = std::max<std::int64_t>(0, -ix0);
+                const std::int64_t kx_hi = std::min(kernel, wi - ix0);
+                float acc = -1e30f;
+                for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
+                    const float *row = plane + (iy0 + ky) * wi + ix0;
+                    for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx)
+                        acc = maxOf(row[kx], acc);
+                }
+                out_plane[oy * wo + ox] = acc;
+            }
+        }
+    }
+}
 
 const char *
 kernelIsaName(KernelIsa isa)

@@ -3,9 +3,10 @@
  * Runtime-dispatched dense kernels: the instruction-set layer under the
  * planned inference data path.
  *
- * The planned executor's hot loops (fp32 GEMM, im2col packing, int8
- * GEMM) are compiled in several instruction-set variants and selected
- * once at runtime through a `KernelTable`:
+ * The planned executor's hot loops (fp32 GEMM plain and with a fused
+ * ReLU epilogue, im2col packing, int8 GEMM) are compiled in several
+ * instruction-set variants and selected once at runtime through a
+ * `KernelTable`:
  *
  *  - `Scalar` is the portable baseline (the PR-5 cache-blocked
  *    register-tile kernels, compiled with the build's default flags) --
@@ -32,7 +33,12 @@
  * bit-identical per column to single-sample calls through the same
  * table.  Different tables may differ within float rounding (FMA vs
  * separate multiply+add); the int8 GEMM is exact integer arithmetic
- * and bit-identical across every table.
+ * and bit-identical across every table.  The fused-ReLU GEMM adds only
+ * max(x, +0) after the last k block, which rounds nothing, so it is
+ * bit-identical to the same table's plain GEMM followed by
+ * `std::max(0.0f, x)`.  The element-wise kernels below the table
+ * (ReLU, dequantize, max-pool) are one branch-free implementation
+ * shared by every table.
  *
  * Selection: `kernelTable(KernelIsa::Auto)` picks the best variant the
  * CPU supports.  The environment variable `FPSA_KERNEL_ISA`
@@ -115,6 +121,20 @@ struct KernelTable
                          std::int64_t ldc, std::int64_t m,
                          std::int64_t k, std::int64_t n) = nullptr;
 
+    /**
+     * C[m x n] = max(A[m x k] * B[k x n], 0): `gemmRowMajor` with a ReLU
+     * epilogue (a conv or fc layer whose only consumer is a Relu).  The
+     * `Avx2` table applies it in registers as the last k block is
+     * stored; `Scalar` and `Neon` run a `reluForward` pass over C.
+     * max is exact, so every element is bit-identical to this table's
+     * `gemmRowMajor` followed by `std::max(0.0f, x)` (NaN, -0 and
+     * negatives become +0).
+     */
+    void (*gemmRowMajorRelu)(const float *a, std::int64_t lda,
+                             const float *b, std::int64_t ldb, float *c,
+                             std::int64_t ldc, std::int64_t m,
+                             std::int64_t k, std::int64_t n) = nullptr;
+
     /** im2col packer; see tensor/gemm.hh for the layout contract. */
     void (*im2colChw)(const float *input, std::int64_t ci,
                       std::int64_t hi, std::int64_t wi, std::int64_t kh,
@@ -139,6 +159,37 @@ struct KernelTable
  * immutable statics: the returned reference stays valid forever.
  */
 const KernelTable &kernelTable(KernelIsa isa = KernelIsa::Auto);
+
+// Element-wise kernels.  They do no rounding arithmetic beyond one
+// float multiply, so one branch-free implementation serves every
+// table: compiled plainly, `std::max` becomes a compare-and-jump that
+// mispredicts on half of a randomly signed activation map.
+
+/**
+ * out[v] = std::max(0.0f, in[v]) for v < n: NaN, -0 and negatives give
+ * +0.  `in == out` is allowed.
+ */
+void reluForward(const float *in, float *out, std::int64_t n);
+
+/**
+ * out[v] = float(in[v]) * scale, then `std::max(0.0f, x)` when `relu`:
+ * the quantized path's dequantize epilogue.  The product is the same
+ * single rounding as the scalar expression, so the bits match it.
+ */
+void dequantize(const std::int32_t *in, float *out, std::int64_t n,
+                float scale, bool relu);
+
+/**
+ * Max-pool a [ci x hi x wi] CHW input into [ci x ho x wo].  Each window
+ * folds its in-range taps in row-major order as
+ * `acc = v > acc ? v : acc` from acc = -1e30 (`std::max(acc, v)`: a NaN
+ * tap is skipped, an equal tap keeps the earlier one, so +0/-0 ties
+ * resolve to the first); taps in the padding are not visited.
+ */
+void maxPoolChw(const float *input, std::int64_t ci, std::int64_t hi,
+                std::int64_t wi, std::int64_t kernel, std::int64_t stride,
+                std::int64_t pad, std::int64_t ho, std::int64_t wo,
+                float *out);
 
 } // namespace fpsa
 

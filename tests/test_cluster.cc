@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "runtime/cluster/cluster_engine.hh"
 #include "runtime/cluster/placement.hh"
 #include "runtime/executor.hh"
+#include "runtime/fault_hook.hh"
 
 namespace fpsa
 {
@@ -459,13 +462,49 @@ TEST(ClusterEngine, ScaleDownDrainsWithoutFailingAcceptedRequests)
 
 // --------------------------------------------------------------- autoscaler
 
+/**
+ * Holds every batch at the executor until `open()`, so a backlog
+ * submitted before then is still pending when the test observes it,
+ * however fast the host runs the model.
+ */
+class ExecutionGate : public ExecutionFaultHook
+{
+  public:
+    Status
+    beforeExecute(const std::string &) override
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        opened_.wait(lock, [this] { return open_; });
+        return {};
+    }
+
+    Status probe(const std::string &) override { return {}; }
+
+    void
+    open()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            open_ = true;
+        }
+        opened_.notify_all();
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable opened_;
+    bool open_ = false;
+};
+
 TEST(Autoscaler, ScalesUpUnderBacklogAndBackDownWhenIdle)
 {
     auto cnn = compileShared(smallCnn());
+    auto gate = std::make_shared<ExecutionGate>();
     ClusterOptions options;
     options.engine.workerThreads = 1;
     options.engine.maxBatch = 2;
     options.engine.queueDepth = 1024;
+    options.engine.faultHook = gate;
     auto cluster = ClusterEngine::create(
         {{"c0", ChipCapacity::unlimited()},
          {"c1", ChipCapacity::unlimited()},
@@ -484,11 +523,13 @@ TEST(Autoscaler, ScalesUpUnderBacklogAndBackDownWhenIdle)
     // A quiet tenant at the floor: no decision either way.
     EXPECT_TRUE(autoscaler.evaluateOnce().empty());
 
-    // Pile on a backlog, then take one control step: one new replica.
+    // Pile on a backlog held at the gate, then take one control step:
+    // one new replica.  Only then may the backlog drain.
     std::vector<std::future<StatusOr<InferenceResult>>> futures;
     for (int i = 0; i < 96; ++i)
         futures.push_back((*cluster)->submit("m", probeInput()));
     auto decisions = autoscaler.evaluateOnce();
+    gate->open();
     ASSERT_EQ(decisions.size(), 1u);
     EXPECT_EQ(decisions[0].model, "m");
     EXPECT_EQ(decisions[0].fromReplicas, 1);
@@ -526,9 +567,11 @@ TEST(Autoscaler, RecordsRejectedScaleUpOnAFullFleet)
 {
     auto cnn = compileShared(smallCnn());
     const ChipCapacity one = capacityFor(cnn->resourceDemand(), 1);
+    auto gate = std::make_shared<ExecutionGate>();
     ClusterOptions options;
     options.engine.workerThreads = 1;
     options.engine.queueDepth = 1024;
+    options.engine.faultHook = gate;
     // Two chips; the second is occupied by another tenant, so the hot
     // tenant has nowhere to grow.
     auto cluster =
@@ -546,6 +589,7 @@ TEST(Autoscaler, RecordsRejectedScaleUpOnAFullFleet)
     for (int i = 0; i < 32; ++i)
         futures.push_back((*cluster)->submit("hot", probeInput()));
     auto decisions = autoscaler.evaluateOnce();
+    gate->open();
     ASSERT_EQ(decisions.size(), 1u);
     EXPECT_EQ(decisions[0].fromReplicas, 1);
     EXPECT_EQ(decisions[0].toReplicas, 1); // rejected, not applied

@@ -5,13 +5,18 @@
  * executor across a {kernel, stride, pad, groups, odd-shape} sweep,
  * bit-identity of batched vs single-sample execution and of
  * back-to-back requests through one reused arena, zero-heap-allocation
- * behaviour of the planned path, and the liveness allocator actually
- * reusing buffers.
+ * behaviour of the planned path, the liveness allocator actually
+ * reusing buffers, and Relu fusion: a plan whose Relus fold into their
+ * conv/fc producers matches a step-by-step composition of kernel-table
+ * calls plus std::max bit for bit, fp32 and int8.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/alloc_probe.hh"
@@ -477,6 +482,271 @@ TEST(PlanInt8, QuantizedRequestPerformsZeroHeapAllocations)
     plan->runBatch(in_ptrs.data(), out_ptrs.data(), 3, context);
     EXPECT_EQ(alloc_probe::disarm(), 0)
         << "the batched int8 path must not allocate per request";
+}
+
+// ------------------------------------------------------------ relu fusion
+
+/**
+ * Symmetric int8 quantization exactly as the plan does it: a scale of
+ * absmax / qmax (0 for an all-zero source), round to nearest, clamp.
+ */
+float
+scaleFor(const float *src, std::int64_t n, float qmax)
+{
+    float absmax = 0.0f;
+    for (std::int64_t v = 0; v < n; ++v)
+        absmax = std::max(absmax, std::fabs(src[v]));
+    return absmax > 0.0f ? absmax / qmax : 0.0f;
+}
+
+std::vector<std::int8_t>
+quantizeWith(const float *src, std::int64_t n, float scale, float qmax)
+{
+    const float mult = scale > 0.0f ? 1.0f / scale : 0.0f;
+    const auto q = static_cast<std::int32_t>(qmax);
+    std::vector<std::int8_t> out(static_cast<std::size_t>(n));
+    for (std::int64_t v = 0; v < n; ++v)
+        out[static_cast<std::size_t>(v)] = static_cast<std::int8_t>(
+            std::clamp(static_cast<std::int32_t>(std::lrintf(src[v] * mult)),
+                       -q, q));
+    return out;
+}
+
+/**
+ * One sample through `g` one node at a time, from unchanged kernel-table
+ * calls (im2col, fp32 or int8 GEMM) plus std::max(0.0f, x) for every
+ * Relu: the composition a fused plan must reproduce bit for bit.
+ * Handles ungrouped conv, fc, relu, add and the identity ops.
+ */
+std::vector<float>
+runStepByStep(const Graph &g, const KernelTable &t, PrecisionMode mode,
+              const std::vector<float> &input)
+{
+    const bool quantized = mode != PrecisionMode::Fp32;
+    const float qmax =
+        quantized ? static_cast<float>(
+                        (1 << (precisionActivationBits(mode) - 1)) - 1)
+                  : 0.0f;
+    std::vector<std::vector<float>> value(g.size());
+    const std::vector<NodeId> order = g.topoOrder();
+    for (NodeId id : order) {
+        const GraphNode &n = g.node(id);
+        std::vector<float> &out = value[static_cast<std::size_t>(id)];
+        out.resize(static_cast<std::size_t>(shapeNumel(n.outShape)));
+        const auto in = [&](std::size_t i) -> const std::vector<float> & {
+            return value[static_cast<std::size_t>(n.inputs[i])];
+        };
+        switch (n.kind) {
+          case OpKind::Input:
+            out = input;
+            break;
+          case OpKind::Conv2d: {
+            const Shape &is = g.node(n.inputs[0]).outShape;
+            const std::int64_t kk = is[0] * n.attrs.kernel * n.attrs.kernel;
+            const std::int64_t hw = n.outShape[1] * n.outShape[2];
+            const std::int64_t co = n.outShape[0];
+            std::vector<float> cols(static_cast<std::size_t>(kk * hw));
+            t.im2colChw(in(0).data(), is[0], is[1], is[2], n.attrs.kernel,
+                        n.attrs.kernel, n.attrs.stride, n.attrs.pad,
+                        n.outShape[1], n.outShape[2], cols.data(), hw,
+                        0.0f);
+            const float *w = n.weights->data();
+            if (!quantized) {
+                t.gemmRowMajor(w, kk, cols.data(), hw, out.data(), hw, co,
+                               kk, hw);
+                break;
+            }
+            const float sw = scaleFor(w, co * kk, 127.0f);
+            const float sa = scaleFor(in(0).data(),
+                                      static_cast<std::int64_t>(
+                                          in(0).size()),
+                                      qmax);
+            const auto qw = quantizeWith(w, co * kk, sw, 127.0f);
+            const auto qc = quantizeWith(cols.data(), kk * hw, sa, qmax);
+            std::vector<std::int32_t> acc(out.size());
+            t.gemmInt8(qw.data(), kk, qc.data(), hw, acc.data(), hw, co,
+                       kk, hw);
+            for (std::size_t v = 0; v < out.size(); ++v)
+                out[v] = static_cast<float>(acc[v]) * (sw * sa);
+            break;
+          }
+          case OpKind::FullyConnected: {
+            const auto ci = static_cast<std::int64_t>(in(0).size());
+            const std::int64_t co = n.attrs.units;
+            std::vector<float> wt(static_cast<std::size_t>(ci * co));
+            for (std::int64_t u = 0; u < co; ++u)
+                for (std::int64_t r = 0; r < ci; ++r)
+                    wt[static_cast<std::size_t>(r * co + u)] =
+                        n.weights->data()[u * ci + r];
+            if (!quantized) {
+                t.gemmRowMajor(in(0).data(), ci, wt.data(), co, out.data(),
+                               co, 1, ci, co);
+                break;
+            }
+            const float sw = scaleFor(wt.data(), ci * co, 127.0f);
+            const float sa = scaleFor(in(0).data(), ci, qmax);
+            const auto qw = quantizeWith(wt.data(), ci * co, sw, 127.0f);
+            const auto qi = quantizeWith(in(0).data(), ci, sa, qmax);
+            std::vector<std::int32_t> acc(out.size());
+            t.gemmInt8(qi.data(), ci, qw.data(), co, acc.data(), co, 1, ci,
+                       co);
+            for (std::size_t v = 0; v < out.size(); ++v)
+                out[v] = static_cast<float>(acc[v]) * (sw * sa);
+            break;
+          }
+          case OpKind::Relu:
+            for (std::size_t v = 0; v < out.size(); ++v)
+                out[v] = std::max(0.0f, in(0)[v]);
+            break;
+          case OpKind::Add:
+            out = in(0);
+            for (std::size_t a = 1; a < n.inputs.size(); ++a)
+                for (std::size_t v = 0; v < out.size(); ++v)
+                    out[v] += in(a)[v];
+            break;
+          case OpKind::Flatten:
+          case OpKind::BatchNorm:
+            out = in(0);
+            break;
+          default:
+            ADD_FAILURE() << "runStepByStep: unsupported op " << n.name;
+        }
+    }
+    return value[static_cast<std::size_t>(order.back())];
+}
+
+/**
+ * Every ISA x {fp32, int8}: single-sample `run` and a batch of 3 (the
+ * coalesced conv path for layers under 64 columns) must equal the
+ * step-by-step composition bit for bit.
+ */
+void
+expectPlanMatchesStepByStep(const Graph &g, std::uint64_t seed)
+{
+    constexpr int kBatch = 3;
+    const Shape &shape = g.node(g.topoOrder().front()).outShape;
+    std::vector<Tensor> inputs;
+    for (int i = 0; i < kBatch; ++i)
+        inputs.push_back(
+            randomInput(shape, seed + static_cast<std::uint64_t>(i)));
+    for (KernelIsa isa : availablePlanIsas()) {
+        for (PrecisionMode mode :
+             {PrecisionMode::Fp32, PrecisionMode::Int8}) {
+            auto plan = ExecutionPlan::build(g, {mode, isa});
+            ASSERT_TRUE(plan.ok()) << plan.status().toString();
+            PlanContext context = plan->makeContext(kBatch);
+            std::vector<Tensor> singles, batched;
+            std::vector<const float *> in_ptrs;
+            std::vector<float *> out_ptrs;
+            for (int i = 0; i < kBatch; ++i) {
+                singles.emplace_back(plan->outputShape());
+                batched.emplace_back(plan->outputShape());
+            }
+            for (int i = 0; i < kBatch; ++i) {
+                const auto at = static_cast<std::size_t>(i);
+                plan->run(inputs[at].data(), singles[at].data(), context);
+                in_ptrs.push_back(inputs[at].data());
+                out_ptrs.push_back(batched[at].data());
+            }
+            plan->runBatch(in_ptrs.data(), out_ptrs.data(), kBatch,
+                           context);
+            for (int i = 0; i < kBatch; ++i) {
+                const auto at = static_cast<std::size_t>(i);
+                const std::vector<float> want = runStepByStep(
+                    g, kernelTable(isa), mode,
+                    std::vector<float>(inputs[at].data(),
+                                       inputs[at].data() +
+                                           inputs[at].numel()));
+                ASSERT_EQ(static_cast<std::int64_t>(want.size()),
+                          singles[at].numel());
+                for (std::size_t v = 0; v < want.size(); ++v) {
+                    const auto e = static_cast<std::int64_t>(v);
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(singles[at][e]),
+                              std::bit_cast<std::uint32_t>(want[v]))
+                        << kernelIsaName(isa) << " "
+                        << precisionModeName(mode) << " sample " << i
+                        << " element " << v;
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(batched[at][e]),
+                              std::bit_cast<std::uint32_t>(want[v]))
+                        << kernelIsaName(isa) << " "
+                        << precisionModeName(mode) << " batched sample "
+                        << i << " element " << v;
+                }
+            }
+        }
+    }
+}
+
+TEST(PlanFusion, ConvReluChainMatchesStepByStepAndShrinksArena)
+{
+    // 3x10x9 -> conv (8 x 90 columns, the per-sample GEMM) -> relu ->
+    // conv stride 2 (5 x 25 columns, coalesced when batched) -> relu,
+    // which is the graph output.
+    GraphBuilder b({3, 10, 9});
+    b.conv(8, 3, 1, 1).relu().conv(5, 3, 2, 1).relu();
+    const Graph g = weighted(b, 501);
+    expectPlanMatchesStepByStep(g, 502);
+
+    // An unfused first Relu needs its own 720 floats while the conv's
+    // 720 are live: 270 + 720 + 720.  Fused, the peak is the input
+    // plus one conv output, and the second conv reuses the input's
+    // slot.
+    auto plan = ExecutionPlan::build(g);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_LE(plan->arenaFloatsPerSample(), 270 + 720);
+    EXPECT_LT(plan->arenaFloatsPerSample(), 270 + 720 + 720);
+}
+
+TEST(PlanFusion, FcReluMatchesStepByStep)
+{
+    GraphBuilder b({2, 5, 4});
+    b.flatten().fc(13).relu().fc(7).relu();
+    const Graph g = weighted(b, 511);
+    expectPlanMatchesStepByStep(g, 512);
+
+    // The input and the first fc output are the peak; an unfused Relu
+    // would add its own buffer on top.
+    auto plan = ExecutionPlan::build(g);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_LE(plan->arenaFloatsPerSample(), 40 + 13);
+}
+
+TEST(PlanFusion, ConvBatchNormReluFusesThroughTheAlias)
+{
+    GraphBuilder b({4, 8, 8});
+    b.conv(6, 3, 1, 1).batchNorm().relu().conv(3, 1, 1, 0).relu();
+    const Graph g = weighted(b, 521);
+    expectPlanMatchesStepByStep(g, 522);
+
+    auto plan = ExecutionPlan::build(g);
+    ASSERT_TRUE(plan.ok());
+    // Input (256) and the first conv (384) are the only live buffers
+    // when the first conv writes; an unfused Relu would add 384 more.
+    EXPECT_LE(plan->arenaFloatsPerSample(), 256 + 384);
+}
+
+TEST(PlanFusion, SharedConvOutputDoesNotFuseAndStaysCorrect)
+{
+    // The conv output feeds both the Relu and the Add, so the Relu
+    // must run standalone: fusing it would hand the Add rectified
+    // values.
+    GraphBuilder b({3, 9, 9});
+    const NodeId conv = b.conv(6, 3, 1, 1).tip();
+    b.relu().add({conv});
+    const Graph g = weighted(b, 531);
+    expectPlanMatchesStepByStep(g, 532);
+}
+
+TEST(PlanFusion, AddReluAndAddOutputRunStandalone)
+{
+    // A Relu after an Add has no GEMM to fold into; the graph output is
+    // that Relu.
+    GraphBuilder b({4, 7, 7});
+    const NodeId in = b.tip();
+    const NodeId left = b.at(in).conv(5, 3, 1, 1).tip();
+    b.at(in).conv(5, 1, 1, 0).add({left}).relu();
+    const Graph g = weighted(b, 541);
+    expectPlanMatchesStepByStep(g, 542);
 }
 
 // ----------------------------------------------------------- gemm kernels

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -113,6 +114,19 @@ TEST(JsonParser, RoundTripsWriterOutput)
     EXPECT_TRUE((*doc)["null"].isNull());
     ASSERT_EQ((*doc)["nested"].size(), 4u);
     EXPECT_EQ((*doc)["nested"].at(3)["k"].string(), "v");
+}
+
+TEST(JsonParser, IntegerReadsSaturateInsteadOfOverflowing)
+{
+    // A plain cast of these doubles to int64 is undefined; a corrupt
+    // artifact must read as an out-of-range value that validation can
+    // reject.
+    auto doc = parseJson("[1e30, -1e30, 9223372036854775808, -42.9]");
+    ASSERT_TRUE(doc.ok()) << doc.status().toString();
+    EXPECT_EQ(doc->at(0).asInt(), std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(doc->at(1).asInt(), std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(doc->at(2).asInt(), std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(doc->at(3).asInt(), -42);
 }
 
 TEST(JsonParser, RejectsMalformedInput)
@@ -239,6 +253,36 @@ TEST(CompiledModel, LoadRejectsCorruptDocuments)
     EXPECT_EQ(null_weight.status().code(), StatusCode::InvalidArgument);
     EXPECT_NE(null_weight.status().message().find("non-numeric"),
               std::string::npos);
+}
+
+TEST(CompiledModel, LoadRejectsOutOfRangeNetWidth)
+{
+    // A net width outside [1, INT32_MAX] must come back as a Status,
+    // not reach Netlist::addNet's assertion (<= 0), wrap in the cast
+    // to int (2^40 would become 0) or overflow the cast to int64 (1e30).
+    const std::string good = compileSmallCnn().toJson();
+    const std::string needle = "\"width\":";
+    const std::size_t at = good.find(needle);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t first = at + needle.size();
+    const std::size_t end = good.find_first_of(",}", first);
+    ASSERT_NE(end, std::string::npos);
+    const auto withWidth = [&](const std::string &width) {
+        std::string text = good;
+        text.replace(first, end - first, width);
+        return CompiledModel::fromJson(text);
+    };
+
+    EXPECT_TRUE(withWidth("3").ok()) << "a legal width still loads";
+    for (const char *width : {"0", "-1", "1099511627776", "1e30"}) {
+        auto loaded = withWidth(width);
+        ASSERT_FALSE(loaded.ok()) << "width " << width;
+        EXPECT_EQ(loaded.status().code(), StatusCode::InvalidArgument)
+            << "width " << width;
+        EXPECT_NE(loaded.status().message().find("net width"),
+                  std::string::npos)
+            << loaded.status().toString();
+    }
 }
 
 TEST(CompiledModel, CarriesPnrTimingWhenRequested)
