@@ -79,7 +79,7 @@ makeCluster(int chips, int requests)
     std::vector<ChipSpec> specs;
     for (int c = 0; c < chips; ++c)
         specs.push_back(
-            {"chip" + std::to_string(c), ChipCapacity::unlimited()});
+            {"chip" + std::to_string(c), ChipCapacity::unlimited(), {}});
     auto cluster = ClusterEngine::create(std::move(specs), options);
     if (!cluster.ok()) {
         std::cerr << "cluster: " << cluster.status().toString() << "\n";

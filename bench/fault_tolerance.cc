@@ -128,7 +128,7 @@ runChaosSoak(const std::shared_ptr<const CompiledModel> &model,
     std::vector<ChipSpec> specs;
     for (int c = 0; c < 3; ++c)
         specs.push_back(
-            {"chip" + std::to_string(c), ChipCapacity::unlimited()});
+            {"chip" + std::to_string(c), ChipCapacity::unlimited(), {}});
     auto created = ClusterEngine::create(std::move(specs), options);
     if (!created.ok()) {
         std::cerr << "cluster: " << created.status().toString() << "\n";

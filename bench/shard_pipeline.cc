@@ -208,7 +208,7 @@ runArm(const std::shared_ptr<const CompiledModel> &model,
     options.engine.workerThreads = 2;
     std::vector<ChipSpec> specs;
     for (const auto &[id, capacity] : chips)
-        specs.push_back({id, capacity});
+        specs.push_back({id, capacity, {}});
     auto cluster = ClusterEngine::create(specs, options);
     if (!cluster.ok())
         return cluster.status();

@@ -119,7 +119,8 @@ main()
     options.engine.queueDepth = 1024;
     options.placement = PlacementPolicyKind::BestFit;
     auto created = ClusterEngine::create(
-        {{"chip0", chip}, {"chip1", chip}, {"chip2", chip}}, options);
+        {{"chip0", chip, {}}, {"chip1", chip, {}}, {"chip2", chip, {}}},
+        options);
     if (!created.ok()) {
         std::cerr << "cluster: " << created.status().toString() << "\n";
         return 1;

@@ -113,10 +113,10 @@ main()
     options.retryBackoffMillis = 0.2;
     options.bestEffortShedMillis = 0.0;
     const ChipCapacity capacity = fractionOf(demand, 0.7);
-    auto created = ClusterEngine::create({{"chip0", capacity},
-                                          {"chip1", capacity},
-                                          {"chip2", capacity},
-                                          {"chip3", capacity}},
+    auto created = ClusterEngine::create({{"chip0", capacity, {}},
+                                          {"chip1", capacity, {}},
+                                          {"chip2", capacity, {}},
+                                          {"chip3", capacity, {}}},
                                          options);
     if (!created.ok()) {
         std::cerr << "cluster: " << created.status().toString() << "\n";

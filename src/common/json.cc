@@ -1,5 +1,6 @@
 #include "common/json.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -65,7 +66,7 @@ JsonWriter::key(const std::string &name)
 {
     separate();
     out_ += '"';
-    out_ += escape(name);
+    appendEscaped(out_, name);
     out_ += "\":";
     pendingKey_ = true;
     return *this;
@@ -76,7 +77,7 @@ JsonWriter::value(const std::string &v)
 {
     separate();
     out_ += '"';
-    out_ += escape(v);
+    appendEscaped(out_, v);
     out_ += '"';
     return *this;
 }
@@ -147,8 +148,24 @@ std::string
 JsonWriter::escape(const std::string &s)
 {
     std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
+    appendEscaped(out, s);
+    return out;
+}
+
+void
+JsonWriter::appendEscaped(std::string &out, const std::string &s)
+{
+    // The prefix that needs no escaping is appended in one piece, so a
+    // multi-MB weight payload (base64, nothing to escape) costs one
+    // scan and one copy.
+    const auto plain = [](char c) {
+        return c != '"' && c != '\\' &&
+               static_cast<unsigned char>(c) >= 0x20;
+    };
+    const auto first = std::find_if_not(s.begin(), s.end(), plain);
+    out.append(s.begin(), first);
+    for (auto it = first; it != s.end(); ++it) {
+        const char c = *it;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -165,7 +182,6 @@ JsonWriter::escape(const std::string &s)
             }
         }
     }
-    return out;
 }
 
 // --------------------------------------------------------------- JsonValue
@@ -427,14 +443,21 @@ class Parser
         ++at_; // '"'
         std::string s;
         while (at_ < text_.size()) {
-            const char c = text_[at_++];
-            if (c == '"') {
+            // Append the run up to the next quote or escape in one
+            // piece: a weight payload is one multi-MB run.
+            const char *begin = text_.data() + at_;
+            const char *quote = static_cast<const char *>(
+                std::memchr(begin, '"', text_.size() - at_));
+            if (!quote)
+                break;
+            const char *backslash = static_cast<const char *>(std::memchr(
+                begin, '\\', static_cast<std::size_t>(quote - begin)));
+            const char *stop = backslash ? backslash : quote;
+            s.append(begin, stop);
+            at_ += static_cast<std::size_t>(stop - begin) + 1;
+            if (stop == quote) {
                 out = JsonValue::makeString(std::move(s));
                 return Status();
-            }
-            if (c != '\\') {
-                s += c;
-                continue;
             }
             if (at_ >= text_.size())
                 break;

@@ -75,6 +75,7 @@ class JsonWriter
 
   private:
     void separate();
+    static void appendEscaped(std::string &out, const std::string &s);
 
     std::string out_;
     /** Per nesting level: whether a value has been emitted yet. */

@@ -18,7 +18,8 @@ numelOf(const Shape &s)
 std::int64_t
 outDim(std::int64_t in, int kernel, int stride, int pad)
 {
-    const std::int64_t out = (in + 2 * pad - kernel) / stride + 1;
+    const std::int64_t out =
+        (in + 2 * std::int64_t{pad} - kernel) / stride + 1;
     fpsa_assert(out >= 1, "windowed op output collapses to %lld",
                 static_cast<long long>(out));
     return out;

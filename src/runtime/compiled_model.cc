@@ -1,7 +1,10 @@
 #include "runtime/compiled_model.hh"
 
-#include <charconv>
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -27,10 +30,13 @@ constexpr const char *kFormat = "fpsa.compiled_model";
  * section (multi-tenant admission); loading a v1 artifact derives the
  * demand from its allocation + netlist, so old artifacts stay servable.
  * v2 predates the execution section (executor/precision/kernel ISA);
- * v1/v2 artifacts load with the all-default ExecutionConfig.  Writes
- * always emit the newest version.
+ * v1/v2 artifacts load with the all-default ExecutionConfig.  v1-v3
+ * store each weight tensor's `data` as an array of decimal numbers; v4
+ * stores it as one base64 string of binary32 values (encodeWeights).
+ * The reader picks the decoder by the JSON kind of `data`, so any
+ * version may carry either.  Writes always emit the newest version.
  */
-constexpr std::int64_t kVersion = 3;
+constexpr std::int64_t kVersion = 4;
 constexpr std::int64_t kMinReadVersion = 1;
 
 bool
@@ -90,24 +96,136 @@ blockTypeFromName(const std::string &name, BlockType &out)
     return true;
 }
 
+constexpr char kBase64Alphabet[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
 /**
- * Emit a float as its shortest round-trip decimal (to_chars uniquely
- * identifies the binary32 value and is locale-independent), so saved
- * weights reload bit-identically on any host.  Non-finite weights
- * become null -- the JsonWriter convention -- which load() then
- * rejects as a non-numeric weight element rather than producing a
- * document no JSON consumer can parse.
+ * A weight tensor's `data`: padded RFC 4648 base64 of its elements as
+ * little-endian IEEE-754 binary32, in element order.  The bytes come
+ * from each element's bit pattern with shifts, so the text does not
+ * depend on the host and reloads bit-identically.
  */
-void
-emitFloat(JsonWriter &j, float v)
+std::string
+encodeWeights(const Tensor &weights)
 {
-    if (!std::isfinite(v)) {
-        j.null();
-        return;
+    const float *values = weights.data();
+    const std::size_t byte_count =
+        4 * static_cast<std::size_t>(weights.numel());
+    const auto byteAt = [&](std::size_t i) -> std::uint32_t {
+        if (i >= byte_count)
+            return 0;
+        return (std::bit_cast<std::uint32_t>(values[i / 4]) >>
+                (8 * (i % 4))) &
+               0xFFu;
+    };
+    // Characters that would encode only bytes past the end stay '='.
+    std::string out((byte_count + 2) / 3 * 4, '=');
+    char *o = out.data();
+    for (std::size_t i = 0; i < byte_count; i += 3, o += 4) {
+        const std::uint32_t triple =
+            byteAt(i) << 16 | byteAt(i + 1) << 8 | byteAt(i + 2);
+        o[0] = kBase64Alphabet[triple >> 18];
+        o[1] = kBase64Alphabet[(triple >> 12) & 63];
+        if (i + 1 < byte_count)
+            o[2] = kBase64Alphabet[(triple >> 6) & 63];
+        if (i + 2 < byte_count)
+            o[3] = kBase64Alphabet[triple & 63];
     }
-    char buf[24];
-    const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-    j.raw(std::string(buf, r.ptr));
+    return out;
+}
+
+/** Base64 character -> its 6-bit value, or -1 outside the alphabet. */
+constexpr std::array<std::int8_t, 256> kBase64Values = [] {
+    std::array<std::int8_t, 256> table{};
+    table.fill(-1);
+    for (int i = 0; i < 64; ++i)
+        table[static_cast<unsigned char>(kBase64Alphabet[i])] =
+            static_cast<std::int8_t>(i);
+    return table;
+}();
+
+/**
+ * Whether `shape` holds exactly `count` elements with every dim >= 1,
+ * without the overflow shapeNumel risks on a corrupt shape.
+ */
+bool
+shapeHolds(const Shape &shape, std::int64_t count)
+{
+    std::int64_t n = 1;
+    for (std::int64_t d : shape) {
+        if (d < 1 || n > count / d)
+            return false;
+        n *= d;
+    }
+    return n == count;
+}
+
+/**
+ * Decode an encodeWeights payload strictly into `out`: alphabet
+ * characters only, `=` only as the final one or two, a length that is a
+ * multiple of 4, zero padding bits, exactly `shape`'s element count and
+ * finite values.  Returns what is wrong, or "" on success.
+ */
+std::string
+decodeWeights(const std::string &text, const Shape &shape,
+              std::vector<float> &out)
+{
+    if (text.size() % 4 != 0)
+        return "base64 length " + std::to_string(text.size()) +
+               " is not a multiple of 4";
+    std::size_t pad = 0;
+    while (pad < 2 && pad < text.size() &&
+           text[text.size() - 1 - pad] == '=')
+        ++pad;
+    const std::size_t byte_count = text.size() / 4 * 3 - pad;
+    if (byte_count % 4 != 0 ||
+        !shapeHolds(shape, static_cast<std::int64_t>(byte_count / 4)))
+        return "base64 decodes to " + std::to_string(byte_count) +
+               " bytes, not 4 per element of shape " + shapeToString(shape);
+
+    const std::size_t data_chars = text.size() - pad;
+    for (std::size_t i = 0; i < data_chars; ++i) {
+        if (kBase64Values[static_cast<unsigned char>(text[i])] >= 0)
+            continue;
+        if (text[i] == '=')
+            return "base64 '=' at character " + std::to_string(i) +
+                   " before the end";
+        return "base64 character " + std::to_string(i) +
+               " is not in the alphabet";
+    }
+
+    // Padding reads as zero bits, so every byte past byte_count must
+    // be zero: otherwise two texts would decode to the same weights and
+    // re-serialize differently.
+    std::vector<unsigned char> bytes(text.size() / 4 * 3);
+    for (std::size_t i = 0, o = 0; i < text.size(); i += 4, o += 3) {
+        std::uint32_t quad = 0;
+        for (std::size_t k = i; k < i + 4; ++k) {
+            const std::uint32_t sextet =
+                k < data_chars
+                    ? static_cast<std::uint32_t>(
+                          kBase64Values[static_cast<unsigned char>(text[k])])
+                    : 0;
+            quad = quad << 6 | sextet;
+        }
+        bytes[o] = static_cast<unsigned char>(quad >> 16);
+        bytes[o + 1] = static_cast<unsigned char>(quad >> 8);
+        bytes[o + 2] = static_cast<unsigned char>(quad);
+    }
+    if (std::any_of(bytes.begin() + static_cast<std::ptrdiff_t>(byte_count),
+                    bytes.end(), [](unsigned char b) { return b != 0; }))
+        return "base64 padding bits are not zero";
+
+    out.resize(byte_count / 4);
+    for (std::size_t e = 0; e < out.size(); ++e) {
+        const unsigned char *b = &bytes[4 * e];
+        out[e] = std::bit_cast<float>(
+            std::uint32_t{b[0]} | std::uint32_t{b[1]} << 8 |
+            std::uint32_t{b[2]} << 16 | std::uint32_t{b[3]} << 24);
+        if (!std::isfinite(out[e]))
+            return "element " + std::to_string(e) + " is not finite";
+    }
+    return {};
 }
 
 void
@@ -341,10 +459,7 @@ emitGraph(JsonWriter &j, const Graph &graph)
             j.beginObject();
             j.key("shape");
             emitShape(j, n.weights->shape());
-            j.key("data").beginArray();
-            for (std::int64_t i = 0; i < n.weights->numel(); ++i)
-                emitFloat(j, (*n.weights)[i]);
-            j.endArray();
+            j.field("data", encodeWeights(*n.weights));
             j.endObject();
         } else {
             j.null();
@@ -353,6 +468,71 @@ emitGraph(JsonWriter &j, const Graph &graph)
     }
     j.endArray();
     j.endObject();
+}
+
+/**
+ * Why inferShape would reject this op, or "" when it accepts it.
+ * inferShape asserts its preconditions, which suits graphs built in
+ * process; a loaded document is untrusted, so readGraph checks the same
+ * preconditions first and returns InvalidArgument instead of aborting.
+ */
+std::string
+opGeometryError(OpKind kind, const OpAttrs &a,
+                const std::vector<Shape> &in)
+{
+    const bool one_chw = in.size() == 1 && in[0].size() == 3;
+    const auto window = [&]() -> std::string {
+        if (a.kernel < 1 || a.stride < 1 || a.pad < 0)
+            return "needs kernel >= 1, stride >= 1 and pad >= 0";
+        // outDim's (in + 2 * pad - kernel) / stride + 1 >= 1, rearranged
+        // so that a huge corrupt dim cannot overflow.
+        const std::int64_t min_in =
+            a.kernel - 2 * std::int64_t{a.pad} - a.stride + 1;
+        if (in[0][1] < min_in || in[0][2] < min_in)
+            return "has a windowed output dim below 1";
+        return {};
+    };
+    switch (kind) {
+      case OpKind::Input:
+        return "is not an op";
+      case OpKind::Conv2d:
+        if (!one_chw)
+            return "needs one CHW input";
+        if (a.outChannels < 1)
+            return "needs outChannels >= 1";
+        if (a.groups < 1 || in[0][0] % a.groups != 0 ||
+            a.outChannels % a.groups != 0)
+            return "needs groups >= 1 dividing both channel counts";
+        return window();
+      case OpKind::MaxPool:
+      case OpKind::AvgPool:
+        return one_chw ? window() : "needs one CHW input";
+      case OpKind::GlobalAvgPool:
+        return one_chw ? "" : "needs one CHW input";
+      case OpKind::FullyConnected:
+        if (in.size() != 1)
+            return "needs one input";
+        return a.units >= 1 ? "" : "needs units >= 1";
+      case OpKind::Relu:
+      case OpKind::BatchNorm:
+      case OpKind::Flatten:
+        return in.size() == 1 ? "" : "needs one input";
+      case OpKind::Add:
+        if (in.size() < 2)
+            return "needs two or more inputs";
+        for (const Shape &s : in) {
+            if (s != in[0])
+                return "has inputs of different shapes";
+        }
+        return {};
+      case OpKind::Concat:
+        for (const Shape &s : in) {
+            if (s.size() != 3 || s[1] != in[0][1] || s[2] != in[0][2])
+                return "needs CHW inputs of one spatial size";
+        }
+        return {};
+    }
+    return "has an unhandled op kind";
 }
 
 /**
@@ -390,10 +570,13 @@ readGraph(const JsonValue &v)
         }
 
         if (kind == OpKind::Input) {
-            if (shapeNumel(out_shape) <= 0) {
+            if (out_shape.empty() ||
+                std::any_of(out_shape.begin(), out_shape.end(),
+                            [](std::int64_t dim) { return dim < 1; })) {
                 return Status::error(
                     StatusCode::InvalidArgument,
-                    "compiled model: input node has empty shape");
+                    "compiled model: input node has an empty shape or a "
+                    "dim below 1");
             }
             graph.addInput(out_shape, name);
             continue;
@@ -428,6 +611,16 @@ readGraph(const JsonValue &v)
         if (!d.status().ok())
             return d.status();
 
+        std::vector<Shape> in_shapes;
+        for (NodeId in : inputs)
+            in_shapes.push_back(graph.node(in).outShape);
+        const std::string why = opGeometryError(kind, attrs, in_shapes);
+        if (!why.empty()) {
+            return Status::error(StatusCode::InvalidArgument,
+                                 "compiled model: node '" + name + "' " +
+                                     why);
+        }
+
         const NodeId added = graph.addOp(kind, inputs, attrs, name);
         if (graph.node(added).outShape != out_shape) {
             return Status::error(
@@ -444,27 +637,40 @@ readGraph(const JsonValue &v)
         const JsonValue &w = nodes[id]["weights"];
         if (w.isNull())
             continue;
+        const auto invalid = [&](const std::string &why) {
+            return Status::error(StatusCode::InvalidArgument,
+                                 "compiled model: weight data of node " +
+                                     std::to_string(id) + " ('" +
+                                     graph.node(static_cast<NodeId>(id))
+                                         .name +
+                                     "') " + why);
+        };
         Deser wd;
         Shape shape = readShape(wd, w, "shape");
-        const auto &data = wd.arr(w, "data").array();
+        const JsonValue *data = w.find("data");
         if (!wd.status().ok())
             return wd.status();
-        if (shapeNumel(shape) != static_cast<std::int64_t>(data.size())) {
-            return Status::error(
-                StatusCode::InvalidArgument,
-                "compiled model: weight data of node " +
-                    std::to_string(id) + " does not match its shape");
-        }
         std::vector<float> values;
-        values.reserve(data.size());
-        for (const JsonValue &x : data) {
-            if (!x.isNumber()) {
-                return Status::error(
-                    StatusCode::InvalidArgument,
-                    "compiled model: non-numeric weight element in "
-                    "node " + std::to_string(id));
+        if (data && data->isString()) {
+            const std::string why =
+                decodeWeights(data->string(), shape, values);
+            if (!why.empty())
+                return invalid("is corrupt: " + why);
+        } else if (data && data->isArray()) {
+            // The v1-v3 layout: one decimal number per element.
+            const auto &elems = data->array();
+            if (!shapeHolds(shape, static_cast<std::int64_t>(elems.size())))
+                return invalid("does not match its shape");
+            values.reserve(elems.size());
+            for (const JsonValue &x : elems) {
+                const float value = static_cast<float>(x.number());
+                if (!x.isNumber() || !std::isfinite(value))
+                    return invalid(
+                        "has a non-numeric or out-of-range weight element");
+                values.push_back(value);
             }
-            values.push_back(static_cast<float>(x.number()));
+        } else {
+            return invalid("is neither a base64 string nor an array");
         }
         graph.node(static_cast<NodeId>(id)).weights =
             Tensor(std::move(shape), std::move(values));

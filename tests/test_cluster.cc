@@ -223,18 +223,18 @@ TEST(ChipFleet, ValidatesSpecsAndExposesViews)
     const ResourceDemand demand = demandOf(4, 4, 4, 32);
     EXPECT_EQ(ChipFleet::create({}).status().code(),
               StatusCode::InvalidArgument);
-    EXPECT_EQ(ChipFleet::create({{"", capacityFor(demand, 1)}})
+    EXPECT_EQ(ChipFleet::create({{"", capacityFor(demand, 1), {}}})
                   .status()
                   .code(),
               StatusCode::InvalidArgument);
-    EXPECT_EQ(ChipFleet::create({{"a", capacityFor(demand, 1)},
-                                 {"a", capacityFor(demand, 1)}})
+    EXPECT_EQ(ChipFleet::create({{"a", capacityFor(demand, 1), {}},
+                                 {"a", capacityFor(demand, 1), {}}})
                   .status()
                   .code(),
               StatusCode::InvalidArgument);
 
-    auto fleet = ChipFleet::create({{"a", capacityFor(demand, 1)},
-                                    {"b", capacityFor(demand, 2)}});
+    auto fleet = ChipFleet::create({{"a", capacityFor(demand, 1), {}},
+                                    {"b", capacityFor(demand, 2), {}}});
     ASSERT_TRUE(fleet.ok());
     EXPECT_EQ((*fleet)->size(), 2u);
     EXPECT_EQ((*fleet)->id(1), "b");
@@ -260,7 +260,7 @@ TEST(ClusterEngine, PlacementIsDeterministicAcrossIdenticalClusters)
 
     auto build = [&]() {
         auto cluster = ClusterEngine::create(
-            {{"c0", capacity}, {"c1", capacity}, {"c2", capacity}});
+            {{"c0", capacity, {}}, {"c1", capacity, {}}, {"c2", capacity, {}}});
         EXPECT_TRUE(cluster.ok()) << cluster.status().toString();
         EXPECT_TRUE((*cluster)->loadModel("hot", cnn, 2).ok());
         EXPECT_TRUE((*cluster)->loadModel("mlp", mlp).ok());
@@ -290,9 +290,9 @@ TEST(ClusterEngine, RoutesReplicasAndNeverMixesTenantsInABatch)
     options.engine.maxBatch = 4;
     options.engine.queueDepth = 512;
     auto cluster = ClusterEngine::create(
-        {{"c0", ChipCapacity::unlimited()},
-         {"c1", ChipCapacity::unlimited()},
-         {"c2", ChipCapacity::unlimited()}},
+        {{"c0", ChipCapacity::unlimited(), {}},
+         {"c1", ChipCapacity::unlimited(), {}},
+         {"c2", ChipCapacity::unlimited(), {}}},
         options);
     ASSERT_TRUE(cluster.ok()) << cluster.status().toString();
     ASSERT_TRUE((*cluster)->loadModel("hot", cnn, 2).ok());
@@ -390,7 +390,7 @@ TEST(ClusterEngine, OverFleetBudgetLoadReturnsPerChipBreakdown)
     half.routingTracks = demand.routingTracks / 2;
 
     auto cluster = ClusterEngine::create(
-        {{"c0", half}, {"c1", half}, {"c2", half}});
+        {{"c0", half, {}}, {"c1", half, {}}, {"c2", half, {}}});
     ASSERT_TRUE(cluster.ok());
     Status rejected = (*cluster)->loadModel("big", cnn);
     ASSERT_FALSE(rejected.ok());
@@ -416,8 +416,8 @@ TEST(ClusterEngine, ScaleDownDrainsWithoutFailingAcceptedRequests)
     options.engine.maxBatch = 4;
     options.engine.queueDepth = 512;
     auto cluster = ClusterEngine::create(
-        {{"c0", ChipCapacity::unlimited()},
-         {"c1", ChipCapacity::unlimited()}},
+        {{"c0", ChipCapacity::unlimited(), {}},
+         {"c1", ChipCapacity::unlimited(), {}}},
         options);
     ASSERT_TRUE(cluster.ok());
     ASSERT_TRUE((*cluster)->loadModel("m", cnn, 2).ok());
@@ -506,9 +506,9 @@ TEST(Autoscaler, ScalesUpUnderBacklogAndBackDownWhenIdle)
     options.engine.queueDepth = 1024;
     options.engine.faultHook = gate;
     auto cluster = ClusterEngine::create(
-        {{"c0", ChipCapacity::unlimited()},
-         {"c1", ChipCapacity::unlimited()},
-         {"c2", ChipCapacity::unlimited()}},
+        {{"c0", ChipCapacity::unlimited(), {}},
+         {"c1", ChipCapacity::unlimited(), {}},
+         {"c2", ChipCapacity::unlimited(), {}}},
         options);
     ASSERT_TRUE(cluster.ok());
     ASSERT_TRUE((*cluster)->loadModel("m", cnn, 1).ok());
@@ -575,7 +575,7 @@ TEST(Autoscaler, RecordsRejectedScaleUpOnAFullFleet)
     // Two chips; the second is occupied by another tenant, so the hot
     // tenant has nowhere to grow.
     auto cluster =
-        ClusterEngine::create({{"c0", one}, {"c1", one}}, options);
+        ClusterEngine::create({{"c0", one, {}}, {"c1", one, {}}}, options);
     ASSERT_TRUE(cluster.ok());
     ASSERT_TRUE((*cluster)->loadModel("hot", cnn, 1).ok());
     ASSERT_TRUE((*cluster)->loadModel("cold", cnn, 1).ok());

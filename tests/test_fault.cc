@@ -260,7 +260,7 @@ makeRig(std::size_t chips, std::int64_t copiesPerChip,
         capacityFor(rig.model->resourceDemand(), copiesPerChip);
     std::vector<ChipSpec> specs;
     for (std::size_t i = 0; i < chips; ++i)
-        specs.push_back({"chip" + std::to_string(i), capacity});
+        specs.push_back({"chip" + std::to_string(i), capacity, {}});
     auto cluster = ClusterEngine::create(std::move(specs), options);
     EXPECT_TRUE(cluster.ok()) << cluster.status().toString();
     rig.cluster = std::move(cluster).value();
@@ -315,7 +315,7 @@ TEST(ClusterFailoverTest, BackpressureRejectionDoesNotBurnRetryBudget)
     const ChipCapacity capacity =
         capacityFor(model->resourceDemand(), 1);
     auto created = ClusterEngine::create(
-        {{"chip0", capacity}, {"chip1", capacity}}, options);
+        {{"chip0", capacity, {}}, {"chip1", capacity, {}}}, options);
     ASSERT_TRUE(created.ok()) << created.status().toString();
     auto cluster = std::move(created).value();
     ASSERT_TRUE(cluster->loadModel("cnn", model, 2).ok());
@@ -534,7 +534,7 @@ TEST(AutoscalerHistoryTest, HistoryIsARingKeepingNewestDecisions)
     ChipCapacity small = capacityFor(demand, 1);
     small.peBlocks = demand.peBlocks > 0 ? demand.peBlocks - 1 : 0;
     auto cluster = ClusterEngine::create(
-        {{"chip0", capacityFor(demand, 1)}, {"chip1", small}}, options);
+        {{"chip0", capacityFor(demand, 1), {}}, {"chip1", small, {}}}, options);
     ASSERT_TRUE(cluster.ok()) << cluster.status().toString();
     ASSERT_TRUE((*cluster)->loadModel("cnn", model).ok());
 

@@ -127,10 +127,10 @@ TEST(ResourceDemand, DerivedWhenLoadingAVersion1Document)
     ASSERT_NE(close, std::string::npos);
     text.erase(at, close - at + 1);
 
-    const std::string v3 = "\"version\":3";
-    const std::size_t vat = text.find(v3);
+    const std::string v4 = "\"version\":4";
+    const std::size_t vat = text.find(v4);
     ASSERT_NE(vat, std::string::npos);
-    text.replace(vat, v3.size(), "\"version\":1");
+    text.replace(vat, v4.size(), "\"version\":1");
 
     auto v1 = CompiledModel::fromJson(text);
     ASSERT_TRUE(v1.ok()) << v1.status().toString();
@@ -159,8 +159,10 @@ TEST(ResourceDemand, RejectsUnknownFutureVersions)
 {
     auto model = compileShared(smallCnn());
     std::string text = model->toJson();
-    const std::string v3 = "\"version\":3";
-    text.replace(text.find(v3), v3.size(), "\"version\":4");
+    const std::string v4 = "\"version\":4";
+    const std::size_t vat = text.find(v4);
+    ASSERT_NE(vat, std::string::npos);
+    text.replace(vat, v4.size(), "\"version\":5");
     auto future_doc = CompiledModel::fromJson(text);
     ASSERT_FALSE(future_doc.ok());
     EXPECT_EQ(future_doc.status().code(), StatusCode::InvalidArgument);

@@ -11,7 +11,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <future>
 #include <limits>
@@ -88,6 +92,114 @@ plannedGroundTruth(const std::shared_ptr<const CompiledModel> &model,
     return std::move(out).value();
 }
 
+/** A compiled model of input `{1}` -> fc whose weights are `weights`. */
+CompiledModel
+compileFcWithWeights(std::vector<float> weights)
+{
+    const int units = static_cast<int>(weights.size());
+    GraphBuilder b({1});
+    b.fc(units);
+    Graph g = b.build();
+    g.node(1).weights = Tensor({units, 1}, std::move(weights));
+    Pipeline p(g);
+    auto compiled = p.compile();
+    EXPECT_TRUE(compiled.ok()) << compiled.status().toString();
+    return std::move(compiled).value();
+}
+
+/**
+ * `text` with the value of the first `"key":` member after the first
+ * `anchor` replaced by `replacement` (raw JSON).  The value may be a
+ * number, a string or an array of numbers.
+ */
+std::string
+replaceMember(std::string text, const std::string &anchor,
+              const std::string &key, const std::string &replacement)
+{
+    const std::size_t from = text.find(anchor);
+    const std::string needle = "\"" + key + "\":";
+    const std::size_t at = text.find(needle, from);
+    if (from == std::string::npos || at == std::string::npos) {
+        ADD_FAILURE() << "no " << needle << " after " << anchor;
+        return {};
+    }
+    const std::size_t begin = at + needle.size();
+    std::size_t end;
+    if (text[begin] == '[')
+        end = text.find(']', begin) + 1;
+    else if (text[begin] == '"')
+        end = text.find('"', begin + 1) + 1;
+    else
+        end = text.find_first_of(",}", begin);
+    text.replace(begin, end - begin, replacement);
+    return text;
+}
+
+/** The first weight tensor's base64 payload in `text`. */
+std::string
+firstPayload(const std::string &text)
+{
+    const std::string needle = "\"data\":\"";
+    const std::size_t begin = text.find(needle) + needle.size();
+    return text.substr(begin, text.find('"', begin) - begin);
+}
+
+/**
+ * `model`'s document in the v1-v3 layout: version 3, and every weight
+ * tensor's `data` an array of shortest round-trip decimals.
+ */
+std::string
+legacyDocument(const CompiledModel &model)
+{
+    std::string text =
+        replaceMember(model.toJson(), "\"format\"", "version", "3");
+    std::size_t at = 0;
+    for (const GraphNode &n : model.graph().nodes()) {
+        if (!n.weights.has_value())
+            continue;
+        std::string array = "[";
+        for (std::int64_t i = 0; i < n.weights->numel(); ++i) {
+            char buf[32];
+            const auto r =
+                std::to_chars(buf, buf + sizeof(buf), (*n.weights)[i]);
+            if (i > 0)
+                array += ',';
+            array.append(buf, r.ptr);
+        }
+        array += ']';
+        const std::string needle = "\"data\":";
+        at = text.find(needle, at);
+        if (at == std::string::npos) {
+            ADD_FAILURE() << "fewer payloads than weighted nodes";
+            return {};
+        }
+        const std::size_t begin = at + needle.size();
+        const std::size_t end = text.find('"', begin + 1) + 1;
+        text.replace(begin, end - begin, array);
+        at = begin + array.size();
+    }
+    return text;
+}
+
+void
+expectSameWeightBits(const Graph &a, const Graph &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t id = 0; id < a.size(); ++id) {
+        const auto &wa = a.nodes()[id].weights;
+        const auto &wb = b.nodes()[id].weights;
+        ASSERT_EQ(wa.has_value(), wb.has_value()) << "node " << id;
+        if (!wa.has_value())
+            continue;
+        ASSERT_EQ(wa->shape(), wb->shape()) << "node " << id;
+        for (std::int64_t i = 0; i < wa->numel(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>((*wa)[i]),
+                      std::bit_cast<std::uint32_t>((*wb)[i]))
+                << "node " << id << " element " << i;
+        }
+    }
+}
+
 // ------------------------------------------------------------ JSON parser
 
 TEST(JsonParser, RoundTripsWriterOutput)
@@ -133,7 +245,8 @@ TEST(JsonParser, RejectsMalformedInput)
 {
     for (const char *bad :
          {"", "{", "[1,]", "{\"a\":}", "{\"a\":1}x", "\"unterminated",
-          "{\"a\" 1}", "nul", "nan", "inf", "[-inf]", "+1", "1e999"}) {
+          "{\"a\" 1}", "nul", "nan", "inf", "[-inf]", "+1", "1e999",
+          "\"escape at the end\\"}) {
         auto doc = parseJson(bad);
         EXPECT_FALSE(doc.ok()) << "accepted: " << bad;
         if (!doc.ok()) {
@@ -237,10 +350,10 @@ TEST(CompiledModel, LoadRejectsCorruptDocuments)
     ASSERT_FALSE(dangling.ok());
     EXPECT_EQ(dangling.status().code(), StatusCode::InvalidArgument);
 
-    // Corrupt weight data (a null element) must be rejected, not
+    // Corrupt legacy weight data (a null element) must be rejected, not
     // silently coerced to 0.  Replace the first element in place so
     // the element count still matches the shape.
-    text = good;
+    text = legacyDocument(model);
     const std::string data_needle = "\"data\":[";
     at = text.find(data_needle);
     ASSERT_NE(at, std::string::npos);
@@ -253,6 +366,221 @@ TEST(CompiledModel, LoadRejectsCorruptDocuments)
     EXPECT_EQ(null_weight.status().code(), StatusCode::InvalidArgument);
     EXPECT_NE(null_weight.status().message().find("non-numeric"),
               std::string::npos);
+}
+
+TEST(CompiledModel, LoadRejectsCorruptOpGeometry)
+{
+    // Each edit reaches an inferShape assertion (or an integer division
+    // by zero) unless readGraph checks the geometry first.
+    const std::string cnn = compileSmallCnn().toJson();
+
+    GraphBuilder residual({1, 8, 8});
+    residual.conv(4, 3, 1, 1);
+    const NodeId left = residual.tip();
+    residual.at(0).conv(4, 3, 1, 1).add({left}).relu().globalAvgPool().fc(
+        10);
+    GraphBuilder pooled({1, 8, 8});
+    pooled.globalAvgPool().fc(10);
+    GraphBuilder joined({1, 8, 8});
+    joined.concat({0, 0}).flatten().fc(10);
+    // (3 - 4) / 2 + 1 truncates to a 1-wide output: legal at the edge.
+    GraphBuilder edge({1, 3, 3});
+    edge.maxPool(4, 2).flatten().fc(2);
+    std::vector<std::string> docs;
+    for (GraphBuilder *b : {&residual, &pooled, &joined, &edge}) {
+        Graph g = b->build();
+        Rng rng(7);
+        randomizeWeights(g, rng);
+        auto compiled = Pipeline(g).compile();
+        ASSERT_TRUE(compiled.ok()) << compiled.status().toString();
+        docs.push_back(compiled->toJson());
+    }
+
+    struct Edit
+    {
+        const std::string *doc;
+        const char *anchor;
+        const char *key;
+        const char *value;
+        const char *reason;
+    };
+    const Edit edits[] = {
+        {&cnn, "\"kind\":\"conv2d\"", "kernel", "500", "windowed output dim"},
+        {&cnn, "\"kind\":\"conv2d\"", "kernel", "0", "kernel >= 1"},
+        {&cnn, "\"kind\":\"conv2d\"", "stride", "0", "stride >= 1"},
+        {&cnn, "\"kind\":\"conv2d\"", "pad", "-1", "pad >= 0"},
+        {&cnn, "\"kind\":\"conv2d\"", "groups", "0", "groups >= 1"},
+        {&cnn, "\"kind\":\"conv2d\"", "groups", "3", "dividing both channel"},
+        {&cnn, "\"kind\":\"conv2d\"", "outChannels", "0", "outChannels >= 1"},
+        {&cnn, "\"kind\":\"input\"", "outShape", "[64]",
+         "conv2d_1' needs one CHW input"},
+        {&cnn, "\"kind\":\"input\"", "outShape", "[1,-8,-8]", "dim below 1"},
+        {&cnn, "\"kind\":\"maxpool\"", "kernel", "500", "windowed output dim"},
+        {&cnn, "\"kind\":\"maxpool\"", "stride", "0", "stride >= 1"},
+        {&cnn, "\"kind\":\"relu\"", "inputs", "[1,1]", "one input"},
+        {&cnn, "\"kind\":\"fc\"", "units", "0", "units >= 1"},
+        {&docs[0], "\"kind\":\"add\"", "inputs", "[2,0]", "different shapes"},
+        {&docs[0], "\"kind\":\"add\"", "inputs", "[2]", "two or more"},
+        {&docs[1], "\"kind\":\"input\"", "outShape", "[64]",
+         "gavgpool_1' needs one CHW input"},
+        {&docs[2], "\"kind\":\"input\"", "outShape", "[64]",
+         "concat_1' needs CHW inputs"},
+        {&docs[3], "\"kind\":\"maxpool\"", "kernel", "5",
+         "windowed output dim"},
+    };
+    for (const Edit &e : edits) {
+        auto loaded = CompiledModel::fromJson(
+            replaceMember(*e.doc, e.anchor, e.key, e.value));
+        const std::string what =
+            std::string(e.anchor) + " " + e.key + " = " + e.value;
+        ASSERT_FALSE(loaded.ok()) << what;
+        EXPECT_EQ(loaded.status().code(), StatusCode::InvalidArgument)
+            << what;
+        EXPECT_NE(loaded.status().message().find(e.reason),
+                  std::string::npos)
+            << what << ": " << loaded.status().toString();
+    }
+    for (const std::string &doc : docs)
+        EXPECT_TRUE(CompiledModel::fromJson(doc).ok());
+}
+
+// -------------------------------------------------------- weight encoding
+
+TEST(WeightEncoding, PayloadIsLittleEndianBinary32Base64)
+{
+    // Known answers pin the format: 1.0f is 0x3F800000, -0.0f is
+    // 0x80000000, stored least significant byte first.
+    EXPECT_EQ(firstPayload(compileFcWithWeights({1.0f}).toJson()),
+              "AACAPw==");
+    EXPECT_EQ(firstPayload(compileFcWithWeights({-0.0f}).toJson()),
+              "AAAAgA==");
+    EXPECT_EQ(
+        firstPayload(compileFcWithWeights({1.0f, -0.0f, 2.0f}).toJson()),
+        "AACAPwAAAIAAAABA");
+}
+
+TEST(WeightEncoding, EdgeValuesRoundTripBitExactly)
+{
+    const std::vector<float> edge = {
+        -0.0f,
+        0.0f,
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        std::bit_cast<float>(std::uint32_t{0x007FFFFF}), // largest subnormal
+        FLT_MAX,
+        -FLT_MAX,
+        FLT_MIN,
+        -FLT_MIN,
+        std::nextafter(1.0f, 2.0f), // needs 9 significant digits
+        0.1f,
+        1.0f / 3.0f,
+        std::bit_cast<float>(std::uint32_t{0x4B7FFFFF}), // 16777215
+        std::bit_cast<float>(std::uint32_t{0x3EAAAAAB}),
+    };
+    // 1, 2 and 3 elements hit the two-, one- and no-padding cases.
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          edge.size()}) {
+        const std::vector<float> weights(edge.begin(), edge.begin() + n);
+        CompiledModel model = compileFcWithWeights(weights);
+        const std::string text = model.toJson();
+        const std::string payload = firstPayload(text);
+        EXPECT_EQ(payload.size(), (4 * n + 2) / 3 * 4) << n;
+        EXPECT_EQ(std::count(payload.begin(), payload.end(), '='),
+                  static_cast<std::ptrdiff_t>((3 - 4 * n % 3) % 3))
+            << n;
+
+        auto reloaded = CompiledModel::fromJson(text);
+        ASSERT_TRUE(reloaded.ok()) << reloaded.status().toString();
+        expectSameWeightBits(model.graph(), reloaded->graph());
+        EXPECT_EQ(reloaded->toJson(), text) << n;
+
+        auto legacy = CompiledModel::fromJson(legacyDocument(model));
+        ASSERT_TRUE(legacy.ok()) << legacy.status().toString();
+        expectSameWeightBits(model.graph(), legacy->graph());
+    }
+}
+
+TEST(WeightEncoding, LegacyDecimalDocumentLoadsBitIdentically)
+{
+    CompiledModel model = compileSmallCnn();
+    const std::string v4 = model.toJson();
+    const std::string v3 = legacyDocument(model);
+    ASSERT_EQ(v3.find("\"data\":\""), std::string::npos);
+    ASSERT_NE(v3.find("\"version\":3"), std::string::npos);
+
+    auto from_v4 = CompiledModel::fromJson(v4);
+    auto from_v3 = CompiledModel::fromJson(v3);
+    ASSERT_TRUE(from_v4.ok()) << from_v4.status().toString();
+    ASSERT_TRUE(from_v3.ok()) << from_v3.status().toString();
+    expectSameWeightBits(from_v4->graph(), from_v3->graph());
+    // A legacy document re-serializes as the v4 document.
+    EXPECT_EQ(from_v3->toJson(), v4);
+}
+
+TEST(WeightEncoding, CorruptPayloadsAreRejectedNotAborted)
+{
+    const std::string three = compileFcWithWeights({1, 2, 3}).toJson();
+    const std::string one = compileFcWithWeights({1}).toJson();
+    const std::string payload = firstPayload(three);
+    ASSERT_EQ(payload.size(), 16u);
+    const std::string two_floats =
+        firstPayload(compileFcWithWeights({1, 2}).toJson());
+    const std::string four_floats =
+        firstPayload(compileFcWithWeights({1, 2, 3, 4}).toJson());
+    const auto quoted = [](const std::string &p) {
+        return "\"" + p + "\"";
+    };
+
+    struct Case
+    {
+        const std::string *doc;
+        std::string data;
+        const char *reason;
+    };
+    const char *alphabet = "not in the alphabet";
+    const char *length = "not a multiple of 4";
+    const char *early_pad = "before the end";
+    const char *size = "not 4 per element";
+    const char *not_finite = "not finite";
+    const Case cases[] = {
+        {&three, quoted("*" + payload.substr(1)), alphabet},
+        {&three, quoted("-" + payload.substr(1)), alphabet}, // url-safe
+        {&three, quoted("\\u00e9" + payload.substr(2)), alphabet},
+        {&three, quoted(payload.substr(1)), length},
+        {&three, quoted(payload + "A"), length},
+        {&three, quoted("=" + payload.substr(1)), early_pad},
+        {&three, quoted(payload.substr(0, 8) + "=" + payload.substr(9)),
+         early_pad},
+        {&one, quoted("A==="), size},
+        {&three, quoted(two_floats), size},
+        {&three, quoted(four_floats), size},
+        {&three, quoted(""), size},
+        {&one, quoted("AADAfw=="), not_finite}, // quiet NaN
+        {&one, quoted("AQCAfw=="), not_finite}, // signalling NaN
+        {&one, quoted("AADA/w=="), not_finite}, // negative NaN
+        {&one, quoted("AACAfw=="), not_finite}, // +inf
+        {&one, quoted("AACA/w=="), not_finite}, // -inf
+        {&one, quoted("AACAPx=="), "padding bits are not zero"},
+        {&three, "42", "neither"},
+        {&three, "{}", "neither"},
+        {&three, "null", "neither"},
+    };
+    for (const Case &c : cases) {
+        auto loaded = CompiledModel::fromJson(
+            replaceMember(*c.doc, "\"weights\"", "data", c.data));
+        ASSERT_FALSE(loaded.ok()) << c.data;
+        EXPECT_EQ(loaded.status().code(), StatusCode::InvalidArgument)
+            << c.data;
+        const std::string &message = loaded.status().message();
+        EXPECT_NE(message.find("weight data of node 1 ('fc_1')"),
+                  std::string::npos)
+            << c.data << ": " << message;
+        EXPECT_NE(message.find(c.reason), std::string::npos)
+            << c.data << ": " << message;
+    }
+    // The untouched documents load.
+    EXPECT_TRUE(CompiledModel::fromJson(three).ok());
+    EXPECT_TRUE(CompiledModel::fromJson(one).ok());
 }
 
 TEST(CompiledModel, LoadRejectsOutOfRangeNetWidth)

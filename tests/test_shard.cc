@@ -461,7 +461,7 @@ TEST(ShardedClusterTest, OversizedModelServesShardedWithinTolerance)
     // feasible as a 2-shard pipeline.
     const ChipCapacity capacity = scaledCapacity(demand, 0.7);
     auto created = ClusterEngine::create(
-        {{"c0", capacity}, {"c1", capacity}, {"c2", capacity}},
+        {{"c0", capacity, {}}, {"c1", capacity, {}}, {"c2", capacity, {}}},
         options);
     ASSERT_TRUE(created.ok()) << created.status().toString();
     auto cluster = std::move(created).value();
@@ -531,10 +531,10 @@ TEST(ShardedClusterTest, ShardGroupFailsOverAsAUnitWithZeroLoss)
     options.maxRetryBackoffMillis = 2.0;
     options.bestEffortShedMillis = 0.0; // never shed: count losses
     const ChipCapacity capacity = scaledCapacity(demand, 0.7);
-    auto created = ClusterEngine::create({{"chip0", capacity},
-                                          {"chip1", capacity},
-                                          {"chip2", capacity},
-                                          {"chip3", capacity}},
+    auto created = ClusterEngine::create({{"chip0", capacity, {}},
+                                          {"chip1", capacity, {}},
+                                          {"chip2", capacity, {}},
+                                          {"chip3", capacity, {}}},
                                          options);
     ASSERT_TRUE(created.ok()) << created.status().toString();
     auto cluster = std::move(created).value();
