@@ -293,8 +293,8 @@ PathFinderRouter::routeIncremental(const Netlist &netlist,
         graph.arch().width() + graph.arch().height() + 3);
     std::vector<double> lookahead(max_d + 1, 0.0);
     for (std::size_t d = 0; d <= max_d; ++d) {
-        lookahead[d] = params_.astarFac * min_chan *
-                       static_cast<double>(d > 1 ? (d - 1) / 2 : 0);
+        lookahead[d] =
+            min_chan * static_cast<double>(d > 1 ? (d - 1) / 2 : 0);
     }
 
     const std::vector<NetId> order = routingOrder(netlist, placement);
@@ -361,16 +361,22 @@ PathFinderRouter::routeIncremental(const Netlist &netlist,
                     const RrNode &nd = graph.node(id);
                     const std::size_t d = static_cast<std::size_t>(
                         std::abs(nd.x - tx) + std::abs(nd.y - ty));
-                    return lookahead[std::min(d, max_d)] +
-                           params_.astarFac * sink_delay;
+                    return lookahead[std::min(d, max_d)] + sink_delay;
                 };
 
                 // Multi-source A*: every tree node is a zero-cost seed,
                 // so the search grows outward from the whole routed
-                // portion instead of restarting at the driver.
+                // portion instead of restarting at the driver.  Sinks
+                // have no out-edges: one that is not the target would
+                // only be popped to expand nothing, so sinks are never
+                // seeded or pushed.  The heap order (f, node) is strict,
+                // so dropping those entries leaves every other pop, and
+                // thus every routed path, unchanged.
                 search.newSearch();
                 heap.clear();
                 for (RrNodeId t : tree.nodes) {
+                    if (graph.isSink(t))
+                        continue;
                     search.set(t, 0.0, -1);
                     heap.push_back({heuristic(t), 0.0, t});
                 }
@@ -389,6 +395,8 @@ PathFinderRouter::routeIncremental(const Netlist &netlist,
                         break;
                     }
                     for (RrNodeId next : graph.adjacent(e.node)) {
+                        if (graph.isSink(next) && next != target)
+                            continue;
                         const double nd =
                             e.g +
                             cong.nodeCost(next, net.width, pres_fac);

@@ -59,12 +59,6 @@ struct RouterParams
     double histFac = 0.35;      //!< historical congestion accumulation
 
     RouterAlgorithm algorithm = RouterAlgorithm::Incremental;
-    /**
-     * A* lookahead weight (incremental algorithm only).  1.0 keeps the
-     * heuristic admissible (shortest paths identical to Dijkstra);
-     * larger trades optimality for speed like VPR's astar_fac.
-     */
-    double astarFac = 1.0;
 
     bool operator==(const RouterParams &) const = default;
 };

@@ -1,6 +1,7 @@
 #include "routing/rr_graph.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -25,12 +26,10 @@ RrGraph::RrGraph(const FpsaArch &arch) : arch_(&arch)
     numChan_ = static_cast<std::size_t>(n_chanx + n_chany);
 
     nodes_.resize(static_cast<std::size_t>(sinkBase_ + n_sites));
-    adj_.resize(nodes_.size());
 
     for (int y = 0; y <= h; ++y) {
         for (int x = 0; x < w; ++x) {
             RrNode &n = nodes_[static_cast<std::size_t>(chanX(x, y))];
-            n.kind = RrKind::ChanX;
             n.x = static_cast<std::int16_t>(x);
             n.y = static_cast<std::int16_t>(y);
             n.capacity = cw;
@@ -40,7 +39,6 @@ RrGraph::RrGraph(const FpsaArch &arch) : arch_(&arch)
     for (int y = 0; y < h; ++y) {
         for (int x = 0; x <= w; ++x) {
             RrNode &n = nodes_[static_cast<std::size_t>(chanY(x, y))];
-            n.kind = RrKind::ChanY;
             n.x = static_cast<std::int16_t>(x);
             n.y = static_cast<std::int16_t>(y);
             n.capacity = cw;
@@ -50,13 +48,11 @@ RrGraph::RrGraph(const FpsaArch &arch) : arch_(&arch)
     for (int y = 0; y < h; ++y) {
         for (int x = 0; x < w; ++x) {
             RrNode &src = nodes_[static_cast<std::size_t>(sourceAt(x, y))];
-            src.kind = RrKind::Source;
             src.x = static_cast<std::int16_t>(x);
             src.y = static_cast<std::int16_t>(y);
             src.capacity = 0; // not a shared resource
             src.delay = sw.cbDelay;
             RrNode &snk = nodes_[static_cast<std::size_t>(sinkAt(x, y))];
-            snk.kind = RrKind::Sink;
             snk.x = static_cast<std::int16_t>(x);
             snk.y = static_cast<std::int16_t>(y);
             snk.capacity = 0;
@@ -67,6 +63,13 @@ RrGraph::RrGraph(const FpsaArch &arch) : arch_(&arch)
     minChanDelay_ = sw.segmentDelay + sw.sbDelay;
     for (std::size_t i = 0; i < numChan_; ++i)
         minChanDelay_ = std::min(minChanDelay_, nodes_[i].delay);
+
+    // Edges are collected in order, then packed into CSR (each node's
+    // out-edges keep the order they were added in).
+    std::vector<std::pair<RrNodeId, RrNodeId>> edge_list;
+    auto add_edge = [&edge_list](RrNodeId from, RrNodeId to) {
+        edge_list.emplace_back(from, to);
+    };
 
     // Switch-box corner (cx, cy), cx in [0,w], cy in [0,h], joins:
     //   ChanX(cx-1, cy), ChanX(cx, cy), ChanY(cx, cy-1), ChanY(cx, cy).
@@ -85,7 +88,7 @@ RrGraph::RrGraph(const FpsaArch &arch) : arch_(&arch)
             for (int i = 0; i < n; ++i)
                 for (int j = 0; j < n; ++j)
                     if (i != j)
-                        addEdge(at_corner[i], at_corner[j]);
+                        add_edge(at_corner[i], at_corner[j]);
         }
     }
 
@@ -96,17 +99,21 @@ RrGraph::RrGraph(const FpsaArch &arch) : arch_(&arch)
             const RrNodeId perimeter[4] = {chanX(x, y), chanX(x, y + 1),
                                            chanY(x, y), chanY(x + 1, y)};
             for (RrNodeId c : perimeter) {
-                addEdge(sourceAt(x, y), c);
-                addEdge(c, sinkAt(x, y));
+                add_edge(sourceAt(x, y), c);
+                add_edge(c, sinkAt(x, y));
             }
         }
     }
-}
 
-void
-RrGraph::addEdge(RrNodeId from, RrNodeId to)
-{
-    adj_[static_cast<std::size_t>(from)].push_back(to);
+    edgeBegin_.assign(nodes_.size() + 1, 0);
+    for (const auto &[from, to] : edge_list)
+        ++edgeBegin_[static_cast<std::size_t>(from) + 1];
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+        edgeBegin_[i + 1] += edgeBegin_[i];
+    edges_.resize(edge_list.size());
+    std::vector<std::size_t> cursor(edgeBegin_.begin(), edgeBegin_.end() - 1);
+    for (const auto &[from, to] : edge_list)
+        edges_[cursor[static_cast<std::size_t>(from)]++] = to;
 }
 
 RrNodeId

@@ -20,6 +20,7 @@
 #define FPSA_ROUTING_RR_GRAPH_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/fpsa_arch.hh"
@@ -31,18 +32,18 @@ namespace fpsa
 /** Node index in the routing-resource graph. */
 using RrNodeId = std::int32_t;
 
-/** Kind of a routing resource. */
-enum class RrKind : std::uint8_t { Source, Sink, ChanX, ChanY };
-
-/** One routing-resource node. */
+/**
+ * One routing-resource node: everything a router relaxation reads (cost
+ * inputs and lookahead coordinates) in one 16-byte record.
+ */
 struct RrNode
 {
-    RrKind kind = RrKind::ChanX;
+    NanoSeconds delay = 0.0;     //!< cost of traversing this node
+    std::int32_t capacity = 0;   //!< tracks (Source/Sink: 0, unbounded)
     std::int16_t x = 0;
     std::int16_t y = 0;
-    std::int32_t capacity = 0;   //!< tracks (Source/Sink: unbounded)
-    NanoSeconds delay = 0.0;     //!< cost of traversing this node
 };
+static_assert(sizeof(RrNode) == 16);
 
 /** The routing-resource graph for one chip. */
 class RrGraph
@@ -58,11 +59,16 @@ class RrGraph
         return nodes_[static_cast<std::size_t>(id)];
     }
 
-    /** Out-edges of a node. */
-    const std::vector<RrNodeId> &adjacent(RrNodeId id) const
+    /** Out-edges of a node (empty for a sink). */
+    std::span<const RrNodeId> adjacent(RrNodeId id) const
     {
-        return adj_[static_cast<std::size_t>(id)];
+        const auto at = static_cast<std::size_t>(id);
+        return {edges_.data() + edgeBegin_[at],
+                edgeBegin_[at + 1] - edgeBegin_[at]};
     }
+
+    /** Whether a node is a block's sink (the node range past sources). */
+    bool isSink(RrNodeId id) const { return id >= sinkBase_; }
 
     /** Virtual source node of the block at a site. */
     RrNodeId sourceAt(int x, int y) const;
@@ -87,14 +93,15 @@ class RrGraph
     NanoSeconds minChannelDelay() const { return minChanDelay_; }
 
   private:
-    void addEdge(RrNodeId from, RrNodeId to);
-
     const FpsaArch *arch_;
     std::vector<RrNode> nodes_;
-    std::vector<std::vector<RrNodeId>> adj_;
+    // Adjacency in CSR form: the out-edges of node i are
+    // edges_[edgeBegin_[i] .. edgeBegin_[i + 1]).
+    std::vector<std::size_t> edgeBegin_;
+    std::vector<RrNodeId> edges_;
     std::size_t numChan_ = 0;
     NanoSeconds minChanDelay_ = 0.0;
-    // Layout offsets into the node array.
+    // Layout offsets into the node array [ChanX | ChanY | Source | Sink].
     std::int32_t chanXBase_ = 0;
     std::int32_t chanYBase_ = 0;
     std::int32_t srcBase_ = 0;

@@ -144,20 +144,23 @@ constexpr std::array<std::int8_t, 256> kBase64Values = [] {
     return table;
 }();
 
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
 /**
- * Whether `shape` holds exactly `count` elements with every dim >= 1,
- * without the overflow shapeNumel risks on a corrupt shape.
+ * Element count of `shape`, or -1 when a dim is below 1 or the count
+ * overflows int64: the product shapeNumel takes unchecked, made safe for
+ * the shapes of an untrusted document.
  */
-bool
-shapeHolds(const Shape &shape, std::int64_t count)
+std::int64_t
+checkedNumel(const Shape &shape)
 {
     std::int64_t n = 1;
     for (std::int64_t d : shape) {
-        if (d < 1 || n > count / d)
-            return false;
+        if (d < 1 || n > kInt64Max / d)
+            return -1;
         n *= d;
     }
-    return n == count;
+    return n;
 }
 
 /**
@@ -179,7 +182,7 @@ decodeWeights(const std::string &text, const Shape &shape,
         ++pad;
     const std::size_t byte_count = text.size() / 4 * 3 - pad;
     if (byte_count % 4 != 0 ||
-        !shapeHolds(shape, static_cast<std::int64_t>(byte_count / 4)))
+        checkedNumel(shape) != static_cast<std::int64_t>(byte_count / 4))
         return "base64 decodes to " + std::to_string(byte_count) +
                " bytes, not 4 per element of shape " + shapeToString(shape);
 
@@ -484,6 +487,10 @@ opGeometryError(OpKind kind, const OpAttrs &a,
     const auto window = [&]() -> std::string {
         if (a.kernel < 1 || a.stride < 1 || a.pad < 0)
             return "needs kernel >= 1, stride >= 1 and pad >= 0";
+        // outDim adds 2 * pad to each input dim before anything else.
+        const std::int64_t max_in = kInt64Max - 2 * std::int64_t{a.pad};
+        if (in[0][1] > max_in || in[0][2] > max_in)
+            return "has a padded input dim beyond int64";
         // outDim's (in + 2 * pad - kernel) / stride + 1 >= 1, rearranged
         // so that a huge corrupt dim cannot overflow.
         const std::int64_t min_in =
@@ -525,12 +532,17 @@ opGeometryError(OpKind kind, const OpAttrs &a,
                 return "has inputs of different shapes";
         }
         return {};
-      case OpKind::Concat:
+      case OpKind::Concat: {
+        std::int64_t channels = 0;
         for (const Shape &s : in) {
             if (s.size() != 3 || s[1] != in[0][1] || s[2] != in[0][2])
                 return "needs CHW inputs of one spatial size";
+            if (s[0] > kInt64Max - channels)
+                return "has a channel count beyond int64";
+            channels += s[0];
         }
         return {};
+      }
     }
     return "has an unhandled op kind";
 }
@@ -561,6 +573,15 @@ readGraph(const JsonValue &v)
         Shape out_shape = readShape(d, n, "outShape");
         if (!d.status().ok())
             return d.status();
+        // Readers of this node (Flatten's shape inference, plan sizes)
+        // multiply its dims unchecked, so the count must fit int64.
+        if (checkedNumel(out_shape) < 0) {
+            return Status::error(
+                StatusCode::InvalidArgument,
+                "compiled model: node '" + name + "' outShape " +
+                    shapeToString(out_shape) +
+                    " has a dim below 1 or more elements than int64 holds");
+        }
 
         OpKind kind;
         if (!opKindFromName(kind_name, kind)) {
@@ -570,13 +591,10 @@ readGraph(const JsonValue &v)
         }
 
         if (kind == OpKind::Input) {
-            if (out_shape.empty() ||
-                std::any_of(out_shape.begin(), out_shape.end(),
-                            [](std::int64_t dim) { return dim < 1; })) {
-                return Status::error(
-                    StatusCode::InvalidArgument,
-                    "compiled model: input node has an empty shape or a "
-                    "dim below 1");
+            if (out_shape.empty()) {
+                return Status::error(StatusCode::InvalidArgument,
+                                     "compiled model: input node has an "
+                                     "empty shape");
             }
             graph.addInput(out_shape, name);
             continue;
@@ -659,7 +677,8 @@ readGraph(const JsonValue &v)
         } else if (data && data->isArray()) {
             // The v1-v3 layout: one decimal number per element.
             const auto &elems = data->array();
-            if (!shapeHolds(shape, static_cast<std::int64_t>(elems.size())))
+            if (checkedNumel(shape) !=
+                static_cast<std::int64_t>(elems.size()))
                 return invalid("does not match its shape");
             values.reserve(elems.size());
             for (const JsonValue &x : elems) {

@@ -78,6 +78,22 @@ TEST(RrGraph, ChannelsConnectThroughSwitchboxes)
     EXPECT_TRUE(got.count(g.chanY(2, 1)));
 }
 
+TEST(RrGraph, OnlySinksHaveNoOutEdges)
+{
+    // The router skips every sink but its target: that is exact only
+    // because a sink expands nothing.
+    FpsaArch arch = smallArch(3);
+    RrGraph g(arch);
+    std::set<RrNodeId> sinks;
+    for (int y = 0; y < 3; ++y)
+        for (int x = 0; x < 3; ++x)
+            sinks.insert(g.sinkAt(x, y));
+    for (RrNodeId id = 0; id < static_cast<RrNodeId>(g.nodeCount()); ++id) {
+        EXPECT_EQ(g.isSink(id), sinks.count(id) == 1) << "node " << id;
+        EXPECT_EQ(g.adjacent(id).empty(), g.isSink(id)) << "node " << id;
+    }
+}
+
 TEST(RrGraph, CapacityIsChannelWidth)
 {
     FpsaArch arch = smallArch(2, 77);
@@ -394,6 +410,86 @@ TEST(Router, IncrementalMatchesReferenceQuality)
                       static_cast<double>(ref.totalWirelength) * 1.10))
             << "seed " << seed;
     }
+}
+
+/** FNV-1a (64-bit) over every routed path, in net then sink order: each
+ *  node id as four little-endian bytes, each path closed by 0xff x4. */
+std::uint64_t
+routeHash(const RoutingResult &r)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    auto mix = [&h](std::uint32_t word) {
+        for (int b = 0; b < 4; ++b) {
+            h ^= (word >> (8 * b)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    };
+    for (const RoutedNet &net : r.nets) {
+        for (const auto &path : net.sinkPaths) {
+            for (RrNodeId id : path)
+                mix(static_cast<std::uint32_t>(id));
+            mix(0xffffffffu);
+        }
+    }
+    return h;
+}
+
+/** A fixed (netlist, placement) pair on a side x side chip: blocks sit
+ *  on distinct sites along a stride that scatters their nets, so no
+ *  placer is involved and the router alone decides the outcome. */
+struct GoldenCase
+{
+    Netlist netlist;
+    Placement placement;
+};
+
+GoldenCase
+goldenCase(int side, int blocks, int nets, int max_width)
+{
+    Rng rng(20261020);
+    GoldenCase c{randomNetlist(rng, blocks, nets, max_width), {}};
+    const int sites = side * side;
+    for (int b = 0; b < blocks; ++b) {
+        const int site = (b * 7) % sites;
+        c.placement.loc.emplace_back(site % side, site / side);
+    }
+    return c;
+}
+
+// Golden values recorded with the router as it stood before the CSR
+// graph and the dead-end-free search: a change to the search loop must
+// keep every path bit for bit.
+TEST(Router, GoldenRouteConverges)
+{
+    const GoldenCase c = goldenCase(6, 30, 60, 96);
+    const FpsaArch arch = smallArch(6, 384);
+    RrGraph g(arch);
+    const RoutingResult r =
+        PathFinderRouter().route(c.netlist, g, c.placement);
+    ASSERT_TRUE(r.success);
+    expectLegalRouting(c.netlist, g, c.placement, r);
+    EXPECT_EQ(r.iterations, 9);
+    EXPECT_EQ(r.netsRouted, 276);
+    EXPECT_EQ(r.overusedSegments, 0);
+    EXPECT_EQ(r.totalWirelength, 23315);
+    EXPECT_EQ(routeHash(r), 1633842948801336898ull);
+}
+
+TEST(Router, GoldenRouteExhaustsIterations)
+{
+    const GoldenCase c = goldenCase(6, 30, 60, 96);
+    const FpsaArch arch = smallArch(6, 96);
+    RrGraph g(arch);
+    RouterParams rp;
+    rp.maxIterations = 12;
+    const RoutingResult r =
+        PathFinderRouter(rp).route(c.netlist, g, c.placement);
+    EXPECT_FALSE(r.success);
+    EXPECT_EQ(r.iterations, rp.maxIterations);
+    EXPECT_EQ(r.netsRouted, 720);
+    EXPECT_EQ(r.overusedSegments, 81);
+    EXPECT_EQ(r.totalWirelength, 21950);
+    EXPECT_EQ(routeHash(r), 14952276366389465437ull);
 }
 
 TEST(Placer, IncrementalQualityWithinToleranceOfReference)

@@ -444,6 +444,65 @@ TEST(CompiledModel, LoadRejectsCorruptOpGeometry)
         EXPECT_TRUE(CompiledModel::fromJson(doc).ok());
 }
 
+TEST(CompiledModel, LoadRejectsOverflowingShapes)
+{
+    // Saved shapes that agree with each other but whose element counts
+    // (or padded dims) overflow int64 inside shape inference.  The first
+    // case once reached shapeNumel through inferShape(Flatten) and
+    // multiplied 4 * (2^39 - 1)^2.
+    const std::string cnn = compileSmallCnn().toJson();
+    const std::string huge = replaceMember(
+        replaceMember(
+            replaceMember(replaceMember(cnn, "\"kind\":\"input\"",
+                                        "outShape", "[1,1099511627776,"
+                                                    "1099511627776]"),
+                          "\"kind\":\"conv2d\"", "outShape",
+                          "[4,1099511627774,1099511627774]"),
+            "\"kind\":\"relu\"", "outShape",
+            "[4,1099511627774,1099511627774]"),
+        "\"kind\":\"maxpool\"", "outShape", "[4,549755813887,549755813887]");
+    // 2^31 x 2^31 fits; the conv's four output channels do not.
+    const std::string wide_conv = replaceMember(
+        replaceMember(cnn, "\"kind\":\"input\"", "outShape",
+                      "[1,2147483648,2147483648]"),
+        "\"kind\":\"conv2d\"", "outShape", "[4,2147483646,2147483646]");
+
+    GraphBuilder joined({1, 8, 8});
+    joined.concat({0, 0}).flatten().fc(10);
+    GraphBuilder padded({1, 8, 8});
+    padded.conv(4, 3, 1, 1).flatten().fc(10);
+    std::vector<std::string> docs;
+    for (GraphBuilder *b : {&joined, &padded}) {
+        Graph g = b->build();
+        Rng rng(7);
+        randomizeWeights(g, rng);
+        auto compiled = Pipeline(g).compile();
+        ASSERT_TRUE(compiled.ok()) << compiled.status().toString();
+        docs.push_back(compiled->toJson());
+    }
+    const std::string concat_channels =
+        replaceMember(docs[0], "\"kind\":\"input\"", "outShape",
+                      "[4611686018427387904,1,1]");
+    const std::string padded_dim =
+        replaceMember(docs[1], "\"kind\":\"input\"", "outShape",
+                      "[1,9223372036854775807,1]");
+
+    const std::pair<const std::string *, const char *> cases[] = {
+        {&huge, "input' outShape [1, 1099511627776, 1099511627776] has"},
+        {&wide_conv, "conv2d_1' outShape [4, 2147483646, 2147483646] has"},
+        {&concat_channels, "channel count beyond int64"},
+        {&padded_dim, "padded input dim beyond int64"},
+    };
+    for (const auto &[doc, reason] : cases) {
+        auto loaded = CompiledModel::fromJson(*doc);
+        ASSERT_FALSE(loaded.ok()) << reason;
+        EXPECT_EQ(loaded.status().code(), StatusCode::InvalidArgument)
+            << reason;
+        EXPECT_NE(loaded.status().message().find(reason), std::string::npos)
+            << loaded.status().toString();
+    }
+}
+
 // -------------------------------------------------------- weight encoding
 
 TEST(WeightEncoding, PayloadIsLittleEndianBinary32Base64)
